@@ -35,22 +35,23 @@ from .corpus import (
     split_fingerprint,
     write_corpus,
 )
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, ShapeError, UsageError
 from .metrics import aggregate, confusion, render
 from .model import (
-    EnsembleModel,
+    ARMS,
+    Classifier,
     ModelConfig,
-    SingleModel,
     count_params,
-    forward_ensemble_batch,
+    forward_batch,
     load_checkpoint,
     save_checkpoint,
 )
 from .numcore import cross_entropy, grad_check, use_dtype
-from .pairseq import PairOrder, batchify, build_both
+from .pairseq import batchify, build_both
 from .textprep import PrepConfig, preprocess_record
 from .tokenizer import Vocab, load_vocab, save_vocab, train_vocab
 from .trainer import (
+    PreparedData,
     TrainConfig,
     compare,
     predict,
@@ -103,7 +104,6 @@ class RunConfig:
     weight_decay: float = 0.01
     eval_every: int = 0
     patience: int = 0
-    order: str = "both"
 
     def save(self, path: Path) -> None:
         lines = []
@@ -176,7 +176,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--lr", type=float, help="learning rate")
         p.add_argument("--val-frac", dest="val_frac", type=float, help="validation fraction")
         p.add_argument("--test-frac", dest="test_frac", type=float, help="test fraction")
-        p.add_argument("--arm", choices=("single", "ensemble"), help="model kind for train")
+        p.add_argument("--arm", choices=tuple(ARMS), help="model kind for train and gradcheck")
         p.add_argument("--d-model", dest="d_model", type=int, help="model width")
         p.add_argument("--n-heads", dest="n_heads", type=int, help="attention heads")
         p.add_argument("--n-layers", dest="n_layers", type=int, help="encoder layers")
@@ -203,8 +203,6 @@ def _build_parser() -> _Parser:
     p_pred = add("predict", "classify one (text, entity) query")
     p_pred.add_argument("--text", help="statement text")
     p_pred.add_argument("--entity", help="entity mention to classify")
-    p_pred.add_argument("--order", choices=("text-first", "entity-first", "both"),
-                        help="packing fed to a single-branch model")
     add("compare", "train single and ensemble arms, report deltas")
     add("gradcheck", "finite-difference check on a tiny model")
     return parser
@@ -439,15 +437,21 @@ def cmd_vocab(rc: RunConfig) -> int:
     return 0
 
 
-def cmd_train(rc: RunConfig) -> int:
+def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
+    """Load and split the corpus, load or train the vocab, pack every
+    split and size the model config to the vocab and label set."""
     labels = _labels(rc)
     records = load_corpus(_corpus_path(rc), labels)
     prep_cfg = _prep_config(rc)
     splits = split(records, _split_spec(rc))
     vocab = _load_or_train_vocab(rc, splits[0], prep_cfg, labels)
     data = prepare_data(splits, labels, prep_cfg, vocab, rc.max_len)
-    mc = _model_config(rc, len(vocab), len(labels))
-    model = EnsembleModel(mc) if rc.arm == "ensemble" else SingleModel(mc)
+    return data, _model_config(rc, len(vocab), len(labels))
+
+
+def cmd_train(rc: RunConfig) -> int:
+    data, mc = _training_inputs(rc)
+    model = Classifier(mc, rc.arm)
     print(f"model: {model.kind} d_model={mc.d_model} n_layers={mc.n_layers} "
           f"n_heads={mc.n_heads} params={count_params(model)}")
     model, history = train(model, data.train, data.val, _train_config(rc))
@@ -517,14 +521,8 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
     if not vocab_path.exists():
         raise DataError(f"vocab file {vocab_path} does not exist")
     vocab = load_vocab(vocab_path)
-    if isinstance(model, EnsembleModel) and rc.order != "both":
-        raise DataError(f"ensemble checkpoints use --order both, got {rc.order!r}")
-    single_order = (
-        PairOrder.ENTITY_FIRST if rc.order == "entity-first" else PairOrder.TEXT_FIRST
-    )
     result = predict(
-        model, vocab, _prep_config(rc), labels, text, entity,
-        max_len=model.config.max_len, single_order=single_order,
+        model, vocab, _prep_config(rc), labels, text, entity, max_len=model.config.max_len
     )
     payload = {
         "label": result.label,
@@ -538,14 +536,8 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
 
 
 def cmd_compare(rc: RunConfig) -> int:
-    labels = _labels(rc)
-    records = load_corpus(_corpus_path(rc), labels)
-    prep_cfg = _prep_config(rc)
-    splits = split(records, _split_spec(rc))
-    vocab = _load_or_train_vocab(rc, splits[0], prep_cfg, labels)
-    data = prepare_data(splits, labels, prep_cfg, vocab, rc.max_len)
-    mc = _model_config(rc, len(vocab), len(labels))
-    report = compare(mc, mc, data, _train_config(rc))
+    data, mc = _training_inputs(rc)
+    report = compare(mc, data, _train_config(rc))
     for arm in ("single", "ensemble"):
         a = report.arms[arm]
         print(
@@ -568,7 +560,7 @@ def cmd_gradcheck(rc: RunConfig) -> int:
             vocab_size=50, max_len=16, d_model=8, n_heads=2, n_layers=1,
             d_ff=16, n_classes=6, dropout_rate=0.0, seed=rc.seed,
         )
-        model = EnsembleModel(cfg)
+        model = Classifier(cfg, rc.arm)
         rng = np.random.default_rng(rc.seed)
         pairs = []
         for _ in range(2):
@@ -579,7 +571,7 @@ def cmd_gradcheck(rc: RunConfig) -> int:
         batch = batchify(pairs, batch_size=2)[0]
 
         def loss_fn():
-            logits = forward_ensemble_batch(model, batch.first, batch.second, rng=None)
+            logits = forward_batch(model, batch, rng=None)
             return cross_entropy(logits, batch.labels)
 
         report = grad_check(loss_fn, model.parameters(), tolerance=1e-3, h=1e-4, seed=rc.seed)
@@ -616,7 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, ShapeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -1,10 +1,11 @@
 """Dual-branch transformer encoder ensemble and its single-branch baseline.
 
 Each branch embeds ids (word + segment + position), runs pre-norm
-attention blocks, and is pooled at the CLS position.  The ensemble
-concatenates both branches' CLS vectors and classifies through a small
-two-layer head; the baseline classifies one branch's CLS vector through
-a single affine map.
+attention blocks, and is pooled at the CLS position.  Both arms are one
+`Classifier` laid out by the ARMS table: the ensemble concatenates two
+branches' CLS vectors (text-first and entity-first packings) and
+classifies through a small two-layer head; the baseline classifies one
+text-first branch's CLS vector through a single affine map.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -208,127 +209,128 @@ def encode_cls(
     return nc.select(h, 0, axis=1)
 
 
-class EnsembleModel:
-    """Two independent branches, concatenated CLS vectors, 2-layer head."""
+# kind -> (the packing each branch reads, in branch order; head depth).
+# A depth-1 head is one affine map; depth 2 adds a GELU hidden layer.
+ARMS: dict[str, tuple[tuple[PairOrder, ...], int]] = {
+    "single": ((PairOrder.TEXT_FIRST,), 1),
+    "ensemble": ((PairOrder.TEXT_FIRST, PairOrder.ENTITY_FIRST), 2),
+}
 
-    kind = "ensemble"
 
-    def __init__(self, config: ModelConfig):
+class Classifier:
+    """Encoder branches whose CLS vectors are concatenated and classified
+    by a small head; `kind` names the layout in ARMS.
+
+    One branch is named `branch.`, several `branch1.`, `branch2.`, ...;
+    a depth-1 head holds `head.w`/`head.b`, deeper heads `head.w1`,
+    `head.b1`, ....  Initialisation draws branches first, then head
+    matrices, in that order, from one generator seeded by config.seed.
+    """
+
+    def __init__(self, config: ModelConfig, kind: str):
+        if kind not in ARMS:
+            raise DataError(f"unknown model kind {kind!r}; expected one of {sorted(ARMS)}")
         self.config = config
+        self.kind = kind
+        self.orders, depth = ARMS[kind]
         rng = np.random.default_rng(config.seed)
-        self.branch1 = EncoderBranch(config, rng, "branch1.")
-        self.branch2 = EncoderBranch(config, rng, "branch2.")
-        d, hdim, c = config.d_model, config.d_hidden, config.n_classes
-        self.head = {
-            "w1": nc.param(trunc_normal(rng, (2 * d, hdim)), "head.w1"),
-            "b1": nc.param(np.zeros(hdim), "head.b1"),
-            "w2": nc.param(trunc_normal(rng, (hdim, c)), "head.w2"),
-            "b2": nc.param(np.zeros(c), "head.b2"),
-        }
+        n = len(self.orders)
+        prefixes = ["branch."] if n == 1 else [f"branch{i}." for i in range(1, n + 1)]
+        self.branches = tuple(EncoderBranch(config, rng, prefix) for prefix in prefixes)
+        widths = [n * config.d_model] + [config.d_hidden] * (depth - 1) + [config.n_classes]
+        self.head: dict[str, Tensor] = {}
+        for j in range(depth):
+            tag = "" if depth == 1 else str(j + 1)
+            self.head[f"w{tag}"] = nc.param(
+                trunc_normal(rng, (widths[j], widths[j + 1])), f"head.w{tag}")
+            self.head[f"b{tag}"] = nc.param(np.zeros(widths[j + 1]), f"head.b{tag}")
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, group in (
-            ("branch1.", self.branch1.params),
-            ("branch2.", self.branch2.params),
-            ("head.", self.head),
-        ):
-            for name, t in group.items():
-                out[prefix + name] = t
-        return out
+        groups = [branch.params for branch in self.branches] + [self.head]
+        return {t.name: t for group in groups for t in group.values()}
 
 
-class SingleModel:
-    """One branch, CLS vector straight into an affine classifier."""
-
-    kind = "single"
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.branch = EncoderBranch(config, rng, "branch.")
-        self.head = {
-            "w": nc.param(trunc_normal(rng, (config.d_model, config.n_classes)), "head.w"),
-            "b": nc.param(np.zeros(config.n_classes), "head.b"),
-        }
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"branch.{name}": t for name, t in self.branch.params.items()}
-        out.update({f"head.{name}": t for name, t in self.head.items()})
-        return out
+# EnsembleModel/SingleModel and forward_single/forward_ensemble stay while
+# bench/ still builds, calls and times models through these names.
+def EnsembleModel(config: ModelConfig) -> Classifier:
+    return Classifier(config, "ensemble")
 
 
-def count_params(model: Union[EnsembleModel, SingleModel]) -> int:
+def SingleModel(config: ModelConfig) -> Classifier:
+    return Classifier(config, "single")
+
+
+def count_params(model: Classifier) -> int:
     return sum(int(t.data.size) for t in model.parameters().values())
 
 
-def forward_single_batch(
-    m: SingleModel, block: BatchBlock, rng: Optional[np.random.Generator] = None
+def _forward(
+    model: Classifier,
+    blocks: Sequence[BatchBlock],
+    rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    cls = encode_cls(m.branch, block.input_ids, block.segment_ids, block.attention_mask, rng)
-    cls = dropout(cls, m.config.dropout_rate, rng)
-    return nc.add(nc.matmul(cls, m.head["w"]), m.head["b"])
+    """Logits [B, n_classes]: branch i encodes blocks[i], whose packing
+    must be the i-th of the model's layout."""
+    got = tuple(b.order for b in blocks)
+    if got != model.orders:
+        raise DataError(
+            f"{model.kind} forward needs ({', '.join(o.value for o in model.orders)}) "
+            f"blocks, got ({', '.join(o.value for o in got)})"
+        )
+    cls = [
+        encode_cls(branch, b.input_ids, b.segment_ids, b.attention_mask, rng)
+        for branch, b in zip(model.branches, blocks)
+    ]
+    rate = model.config.dropout_rate
+    h = dropout(cls[0] if len(cls) == 1 else nc.concat(cls, axis=-1), rate, rng)
+    layers = list(model.head.values())
+    for j in range(0, len(layers), 2):
+        if j:
+            h = dropout(nc.gelu(h), rate, rng)
+        h = nc.add(nc.matmul(h, layers[j]), layers[j + 1])
+    return h
+
+
+def forward_pairs(
+    model: Classifier,
+    pairs: Sequence[EncodedPair],
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """Logits [n_classes] for one observation, one packed pair per branch."""
+    blocks = [
+        BatchBlock(
+            input_ids=np.array([p.input_ids], dtype=np.int64),
+            segment_ids=np.array([p.segment_ids], dtype=np.int64),
+            attention_mask=np.array([p.attention_mask], dtype=np.int64),
+            order=p.order,
+        )
+        for p in pairs
+    ]
+    return nc.reshape(_forward(model, blocks, rng), (model.config.n_classes,))
 
 
 def forward_single(
-    m: SingleModel, pair: EncodedPair, rng: Optional[np.random.Generator] = None
+    m: Classifier, pair: EncodedPair, rng: Optional[np.random.Generator] = None
 ) -> Tensor:
-    block = BatchBlock(
-        input_ids=np.array([pair.input_ids], dtype=np.int64),
-        segment_ids=np.array([pair.segment_ids], dtype=np.int64),
-        attention_mask=np.array([pair.attention_mask], dtype=np.int64),
-        order=pair.order,
-    )
-    return nc.reshape(forward_single_batch(m, block, rng), (m.config.n_classes,))
-
-
-def forward_ensemble_batch(
-    m: EnsembleModel,
-    first: BatchBlock,
-    second: BatchBlock,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    if first.order is not PairOrder.TEXT_FIRST or second.order is not PairOrder.ENTITY_FIRST:
-        raise DataError(
-            f"ensemble forward needs (text_first, entity_first) blocks, "
-            f"got ({first.order.value}, {second.order.value})"
-        )
-    cls1 = encode_cls(m.branch1, first.input_ids, first.segment_ids, first.attention_mask, rng)
-    cls2 = encode_cls(m.branch2, second.input_ids, second.segment_ids, second.attention_mask, rng)
-    joined = dropout(nc.concat([cls1, cls2], axis=-1), m.config.dropout_rate, rng)
-    hidden = nc.gelu(nc.add(nc.matmul(joined, m.head["w1"]), m.head["b1"]))
-    hidden = dropout(hidden, m.config.dropout_rate, rng)
-    return nc.add(nc.matmul(hidden, m.head["w2"]), m.head["b2"])
+    return forward_pairs(m, (pair,), rng)
 
 
 def forward_ensemble(
-    m: EnsembleModel,
+    m: Classifier,
     p1: EncodedPair,
     p2: EncodedPair,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    def block(pair: EncodedPair) -> BatchBlock:
-        return BatchBlock(
-            input_ids=np.array([pair.input_ids], dtype=np.int64),
-            segment_ids=np.array([pair.segment_ids], dtype=np.int64),
-            attention_mask=np.array([pair.attention_mask], dtype=np.int64),
-            order=pair.order,
-        )
-
-    return nc.reshape(
-        forward_ensemble_batch(m, block(p1), block(p2), rng), (m.config.n_classes,)
-    )
+    return forward_pairs(m, (p1, p2), rng)
 
 
 def forward_batch(
-    model: Union[EnsembleModel, SingleModel],
+    model: Classifier,
     batch: PairBatch,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Dispatch on model kind; single models read the TextFirst block."""
-    if isinstance(model, EnsembleModel):
-        return forward_ensemble_batch(model, batch.first, batch.second, rng)
-    return forward_single_batch(model, batch.first, rng)
+    """Logits [B, n_classes]; branch i reads the batch's i-th packing."""
+    return _forward(model, (batch.first, batch.second)[:len(model.branches)], rng)
 
 
 def _config_header(cfg: ModelConfig) -> list[str]:
@@ -337,7 +339,7 @@ def _config_header(cfg: ModelConfig) -> list[str]:
     return lines
 
 
-def save_checkpoint(model: Union[EnsembleModel, SingleModel], path: Union[str, Path]) -> None:
+def save_checkpoint(model: Classifier, path: Union[str, Path]) -> None:
     """Write magic, text header, tensor manifest, then raw <f4 data."""
     params = model.parameters()
     arrays = {name: np.ascontiguousarray(t.data, dtype="<f4") for name, t in params.items()}
@@ -357,7 +359,7 @@ def save_checkpoint(model: Union[EnsembleModel, SingleModel], path: Union[str, P
     Path(path).write_bytes(blob)
 
 
-def load_checkpoint(path: Union[str, Path]) -> Union[EnsembleModel, SingleModel]:
+def load_checkpoint(path: Union[str, Path]) -> Classifier:
     p = Path(path)
     blob = p.read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
@@ -384,7 +386,7 @@ def load_checkpoint(path: Union[str, Path]) -> Union[EnsembleModel, SingleModel]
         if key == "tensors":
             break
     kind = fields.get("kind")
-    if kind not in ("ensemble", "single"):
+    if kind not in ARMS:
         raise DataError(f"{p}: unknown checkpoint kind {kind!r}")
     try:
         cfg = ModelConfig(
@@ -400,7 +402,7 @@ def load_checkpoint(path: Union[str, Path]) -> Union[EnsembleModel, SingleModel]
         raise DataError(
             f"{p}: manifest lists {len(manifest_lines)} tensors, header says {n_tensors}"
         )
-    model = EnsembleModel(cfg) if kind == "ensemble" else SingleModel(cfg)
+    model = Classifier(cfg, kind)
     params = model.parameters()
     expected = list(params)
     data = blob[data_start:]

@@ -6,28 +6,20 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import LabelSet, RawRecord, split_fingerprint
 from .errors import DataError, NumericError
 from .metrics import MetricsReport, aggregate, confusion
-from .model import (
-    EnsembleModel,
-    ModelConfig,
-    SingleModel,
-    forward_batch,
-    forward_ensemble,
-    forward_single,
-)
+from .model import ARMS, Classifier, ModelConfig, forward_batch, forward_ensemble, forward_single
 from .numcore import Tensor, backward, cross_entropy
-from .pairseq import EncodedPair, PairBatch, PairOrder, batchify, build_both, build_pair
+from .pairseq import EncodedPair, PairBatch, batchify, build_both, build_pair
 from .textprep import PrepConfig, preprocess_record, preprocess_text
 from .tokenizer import Vocab, encode_text
 
 PairList = Sequence[tuple[EncodedPair, EncodedPair]]
-AnyModel = Union[EnsembleModel, SingleModel]
 
 COMPARISON_SCHEMA = "meder-comparison-report/1"
 
@@ -118,7 +110,7 @@ class AdamW:
 
 
 def _batch_loss_and_correct(
-    model: AnyModel, batch: PairBatch, rng: Optional[np.random.Generator]
+    model: Classifier, batch: PairBatch, rng: Optional[np.random.Generator]
 ) -> tuple[Tensor, int]:
     logits = forward_batch(model, batch, rng)
     loss = cross_entropy(logits, batch.labels)
@@ -126,7 +118,7 @@ def _batch_loss_and_correct(
     return loss, correct
 
 
-def _eval_loss_acc(model: AnyModel, batches: list[PairBatch]) -> tuple[float, float]:
+def _eval_loss_acc(model: Classifier, batches: list[PairBatch]) -> tuple[float, float]:
     total_loss = 0.0
     correct = 0
     n = 0
@@ -140,21 +132,21 @@ def _eval_loss_acc(model: AnyModel, batches: list[PairBatch]) -> tuple[float, fl
     return total_loss / n, correct / n
 
 
-def _snapshot(model: AnyModel) -> dict[str, np.ndarray]:
+def _snapshot(model: Classifier) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.parameters().items()}
 
 
-def _restore(model: AnyModel, snap: dict[str, np.ndarray]) -> None:
+def _restore(model: Classifier, snap: dict[str, np.ndarray]) -> None:
     for name, p in model.parameters().items():
         p.data = snap[name].copy()
 
 
 def train(
-    model: AnyModel,
+    model: Classifier,
     train_pairs: PairList,
     val_pairs: PairList,
     cfg: TrainConfig,
-) -> tuple[AnyModel, TrainHistory]:
+) -> tuple[Classifier, TrainHistory]:
     """Seeded AdamW training; the best-validation-accuracy parameters
     are restored into the model before returning.
 
@@ -219,7 +211,7 @@ def train(
 
 
 def predictions(
-    model: AnyModel, pairs: PairList, batch_size: int = 32
+    model: Classifier, pairs: PairList, batch_size: int = 32
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gold label ids, predicted label ids) in input order, eval mode.
 
@@ -234,7 +226,7 @@ def predictions(
     return np.array(golds, dtype=np.int64), np.array(preds, dtype=np.int64)
 
 
-def evaluate(model: AnyModel, pairs: PairList, batch_size: int = 32) -> MetricsReport:
+def evaluate(model: Classifier, pairs: PairList, batch_size: int = 32) -> MetricsReport:
     if not pairs:
         raise DataError("evaluate needs a non-empty pair list")
     golds, preds = predictions(model, pairs, batch_size)
@@ -372,33 +364,16 @@ def _arm_summary(report: MetricsReport, labels: Sequence[str], epochs: int) -> d
     }
 
 
-def compare(
-    single_cfg: ModelConfig,
-    ensemble_cfg: ModelConfig,
-    data: PreparedData,
-    cfg: TrainConfig,
-) -> ComparisonReport:
-    """Train both arms on identical splits and report side-by-side test
-    metrics plus ensemble-minus-single deltas."""
-    if single_cfg.n_classes != ensemble_cfg.n_classes:
-        raise DataError(
-            f"arms disagree on n_classes: {single_cfg.n_classes} vs {ensemble_cfg.n_classes}"
-        )
+def compare(model_cfg: ModelConfig, data: PreparedData, cfg: TrainConfig) -> ComparisonReport:
+    """Train every arm in ARMS from the same config on identical splits
+    and report side-by-side test metrics plus ensemble-minus-single deltas."""
     if not data.test:
         raise DataError("compare needs a non-empty test split")
-
-    single = SingleModel(single_cfg)
-    single, hist_s = train(single, data.train, data.val, cfg)
-    report_s = evaluate(single, data.test, cfg.batch_size)
-
-    ensemble = EnsembleModel(ensemble_cfg)
-    ensemble, hist_e = train(ensemble, data.train, data.val, cfg)
-    report_e = evaluate(ensemble, data.test, cfg.batch_size)
-
-    arms = {
-        "single": _arm_summary(report_s, data.label_names, len(hist_s.records)),
-        "ensemble": _arm_summary(report_e, data.label_names, len(hist_e.records)),
-    }
+    arms = {}
+    for kind in ARMS:
+        model, history = train(Classifier(model_cfg, kind), data.train, data.val, cfg)
+        report = evaluate(model, data.test, cfg.batch_size)
+        arms[kind] = _arm_summary(report, data.label_names, len(history.records))
     deltas = {
         key: arms["ensemble"][key] - arms["single"][key]
         for key in ("accuracy", "micro_f1", "macro_f1")
@@ -414,20 +389,16 @@ class PredictResult:
 
 
 def predict(
-    model: AnyModel,
+    model: Classifier,
     vocab: Vocab,
     prep_cfg: PrepConfig,
     labels: LabelSet,
     text: str,
     entity: str,
     max_len: int = 484,
-    single_order: PairOrder = PairOrder.TEXT_FIRST,
 ) -> PredictResult:
-    """Full pipeline for one (text, entity) query in eval mode.
-
-    single_order picks the packing fed to a SingleModel; ensembles
-    always consume both orders.
-    """
+    """Full pipeline for one (text, entity) query in eval mode; the query
+    is packed once per branch, in the order the model's layout fixes."""
     if len(labels) != model.config.n_classes:
         raise DataError(
             f"label set has {len(labels)} entries, model expects {model.config.n_classes}"
@@ -440,12 +411,10 @@ def predict(
         raise DataError("text is empty after preprocessing")
     text_ids = encode_text(text_tokens, vocab)
     entity_ids = encode_text(entity_tokens, vocab)
-    if isinstance(model, EnsembleModel):
-        pair_tf, pair_ef = build_both(text_ids, entity_ids, max_len, label_id=0)
-        logits = forward_ensemble(model, pair_tf, pair_ef, rng=None)
-    else:
-        pair = build_pair(text_ids, entity_ids, single_order, max_len, label_id=0)
-        logits = forward_single(model, pair, rng=None)
+    pairs = [build_pair(text_ids, entity_ids, o, max_len, label_id=0) for o in model.orders]
+    # bench/tracer.py times predict's forward under these two names
+    forward_one = forward_single if len(pairs) == 1 else forward_ensemble
+    logits = forward_one(model, *pairs, rng=None)
     z = logits.data - logits.data.max()
     e = np.exp(z)
     probs = e / e.sum()

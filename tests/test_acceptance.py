@@ -32,7 +32,7 @@ from meder.corpus import (
     split,
 )
 from meder.metrics import aggregate, confusion
-from meder.model import EnsembleModel, ModelConfig, SingleModel, forward_ensemble, forward_single
+from meder.model import Classifier, ModelConfig, forward_batch, forward_ensemble, forward_single
 from meder.numcore import cross_entropy, grad_check, use_dtype
 from meder.pairseq import PairOrder, batchify, build_both, build_pair
 from meder.textprep import PrepConfig, preprocess_record
@@ -138,7 +138,7 @@ def test_criterion_04_full_ensemble_gradient_check():
         cfg = ModelConfig(vocab_size=50, max_len=16, d_model=8, n_heads=2,
                           n_layers=1, d_ff=16, n_classes=6, dropout_rate=0.0,
                           seed=0)
-        model = EnsembleModel(cfg)
+        model = Classifier(cfg, "ensemble")
         rng = np.random.default_rng(0)
         pairs = []
         for _ in range(2):
@@ -149,7 +149,6 @@ def test_criterion_04_full_ensemble_gradient_check():
         batch = batchify(pairs, batch_size=2)[0]
 
         def loss_fn():
-            from meder.model import forward_batch
             return cross_entropy(forward_batch(model, batch), batch.labels)
 
         report = grad_check(loss_fn, model.parameters(), tolerance=1e-3, h=1e-4)
@@ -181,11 +180,11 @@ def test_criterion_05_padding_never_moves_logits():
         p1, p2 = build_both(text, entity, max_len=16)
         w1, w2 = _pad_extend(p1, 4), _pad_extend(p2, 4)
         if i % 2 == 0:
-            model = EnsembleModel(cfg)
+            model = Classifier(cfg, "ensemble")
             base = forward_ensemble(model, p1, p2).data
             wide = forward_ensemble(model, w1, w2).data
         else:
-            model = SingleModel(cfg)
+            model = Classifier(cfg, "single")
             base = forward_single(model, p1).data
             wide = forward_single(model, w1).data
         worst = max(worst, float(np.abs(base - wide).max()))
@@ -201,11 +200,12 @@ def test_criterion_06_ensemble_swap_symmetry():
         cfg = ModelConfig(vocab_size=30, max_len=16, d_model=8, n_heads=2,
                           n_layers=1, d_ff=16, n_classes=6, dropout_rate=0.0,
                           seed=1000 + i)
-        m1 = EnsembleModel(cfg)
-        m2 = EnsembleModel(cfg)
-        for name in m1.branch1.params:
-            m2.branch1.params[name].data = m1.branch2.params[name].data.copy()
-            m2.branch2.params[name].data = m1.branch1.params[name].data.copy()
+        m1 = Classifier(cfg, "ensemble")
+        m2 = Classifier(cfg, "ensemble")
+        (a1, a2), (b1, b2) = m1.branches, m2.branches
+        for name in a1.params:
+            b1.params[name].data = a2.params[name].data.copy()
+            b2.params[name].data = a1.params[name].data.copy()
         d = cfg.d_model
         w1 = m1.head["w1"].data
         m2.head["w1"].data = np.concatenate([w1[d:], w1[:d]], axis=0)
@@ -274,7 +274,7 @@ def test_criterion_08_ensemble_learns_the_synthetic_task():
                             epochs=200, seed=42)
 
     def run():
-        model = EnsembleModel(model_cfg)
+        model = Classifier(model_cfg, "ensemble")
         return train(model, data.train, data.val, train_cfg)[1]
 
     history = run()
@@ -294,7 +294,7 @@ def test_criterion_09_comparison_harness_is_consistent():
                             n_classes=len(labels), dropout_rate=0.0, seed=42)
     train_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_len=32,
                             epochs=2, seed=42)
-    report = compare(model_cfg, model_cfg, data, train_cfg)
+    report = compare(model_cfg, data, train_cfg)
 
     assert report.fingerprints == data.fingerprints
     for value in report.fingerprints.values():

@@ -9,6 +9,9 @@ import pytest
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
 from meder.cli import RunConfig, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
+from meder.model import Classifier, ModelConfig, save_checkpoint
+from meder.textprep import PrepConfig, preprocess_text
+from meder.tokenizer import encode_text, load_vocab
 from meder.trainer import COMPARISON_JSON_SCHEMA
 
 LABELS = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
@@ -68,6 +71,12 @@ def test_gradcheck_passes_and_reports(capsys):
     assert code == 0
     assert "max_rel_err" in out
     assert "-> PASS" in out
+    assert "FAIL" not in out
+    assert "head.w1" in out
+
+    code, out, _ = run(capsys, "gradcheck", "--seed", "1", "--arm", "single")
+    assert code == 0
+    assert "head.w:" in out and "head.b:" in out
     assert "FAIL" not in out
 
 
@@ -205,7 +214,29 @@ def test_train_eval_predict_flow(tmp_path, capsys):
 
     code, _, err = run(capsys, "predict", "--out-dir", out, "--order", "text-first",
                        "--text", records[0].text, "--entity", records[0].entity)
-    assert code == 2 and "use --order both" in err
+    assert code == 1 and "unrecognized arguments: --order" in err
+
+
+def test_predict_with_a_vocab_larger_than_the_checkpoint_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "vocab", "--out-dir", str(out), "--target-size", "300")
+    assert code == 0
+    vocab = load_vocab(out / "vocab.txt")
+    assert len(vocab) == 300
+    cfg = ModelConfig(vocab_size=200, max_len=48, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=16, n_classes=len(LABELS))
+    save_checkpoint(Classifier(cfg, "single"), out / "model.ckpt")
+    prep = PrepConfig.default()
+    record = next(
+        r for r in load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)
+        if max(encode_text(preprocess_text(r.text, prep), vocab)) >= cfg.vocab_size
+    )
+    code, text_out, err = run(capsys, "predict", "--out-dir", str(out),
+                              "--text", record.text, "--entity", record.entity)
+    assert code == 2
+    assert text_out == ""
+    assert err.startswith("data error:") and "out of range [0, 200)" in err
+    assert "Traceback" not in err
 
 
 def test_predict_without_checkpoint_exits_2(tmp_path, capsys):

@@ -10,11 +10,11 @@ import pytest
 import meder.model as mm
 from meder.errors import DataError, ShapeError
 from meder.model import (
+    ARMS,
     CHECKPOINT_MAGIC,
+    Classifier,
     EncoderBranch,
-    EnsembleModel,
     ModelConfig,
-    SingleModel,
     count_params,
     dropout,
     embed,
@@ -22,16 +22,17 @@ from meder.model import (
     encode_cls,
     forward_batch,
     forward_ensemble,
-    forward_ensemble_batch,
     forward_single,
     load_checkpoint,
     save_checkpoint,
     trunc_normal,
 )
-from meder.numcore import Tensor, use_dtype
-from meder.pairseq import batchify, build_both
+from meder.numcore import Tensor, cross_entropy, grad_check, use_dtype
+from meder.pairseq import PairBatch, batchify, build_both
 
-GOLDEN = Path(__file__).parent / "data" / "golden_encoder.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_encoder.json"
+GOLDEN_LOGITS = DATA / "golden_checkpoint_logits.json"
 
 TOY = dict(vocab_size=20, max_len=12, d_model=8, n_heads=2, n_layers=2,
            d_ff=16, n_classes=6, dropout_rate=0.0, seed=123)
@@ -176,9 +177,9 @@ def test_golden_forward_outputs_are_stable():
             for o in spec["observations"]
         ]
         batch = batchify(pairs, batch_size=len(pairs))[0]
-        ensemble = EnsembleModel(cfg)
-        single = SingleModel(cfg)
-        cls1 = encode_cls(ensemble.branch1, batch.first.input_ids,
+        ensemble = Classifier(cfg, "ensemble")
+        single = Classifier(cfg, "single")
+        cls1 = encode_cls(ensemble.branches[0], batch.first.input_ids,
                           batch.first.segment_ids, batch.first.attention_mask)
         checks = [
             ("branch1_cls", cls1.data),
@@ -194,7 +195,7 @@ def test_golden_forward_outputs_are_stable():
 def test_extra_padding_leaves_logits_unchanged():
     with use_dtype(np.float64):
         cfg = toy_config(max_len=16)
-        model = EnsembleModel(cfg)
+        model = Classifier(cfg, "ensemble")
         p1, p2 = build_both([5, 6, 7, 8, 9], [10, 11], max_len=12, label_id=0)
         base = forward_ensemble(model, p1, p2).data
         widened = tuple(
@@ -215,11 +216,12 @@ def test_swapping_branches_and_head_columns_swaps_the_orders():
     first head matrix, and the two input orders yields identical logits."""
     with use_dtype(np.float64):
         cfg = toy_config()
-        m1 = EnsembleModel(cfg)
-        m2 = EnsembleModel(cfg)
-        for name in m1.branch1.params:
-            m2.branch1.params[name].data = m1.branch2.params[name].data.copy()
-            m2.branch2.params[name].data = m1.branch1.params[name].data.copy()
+        m1 = Classifier(cfg, "ensemble")
+        m2 = Classifier(cfg, "ensemble")
+        (a1, a2), (b1, b2) = m1.branches, m2.branches
+        for name in a1.params:
+            b1.params[name].data = a2.params[name].data.copy()
+            b2.params[name].data = a1.params[name].data.copy()
         d = cfg.d_model
         w1 = m1.head["w1"].data
         m2.head["w1"].data = np.concatenate([w1[d:], w1[:d]], axis=0)
@@ -237,7 +239,7 @@ def test_swapping_branches_and_head_columns_swaps_the_orders():
 def test_blocked_head_rows_make_logits_ignore_second_branch():
     with use_dtype(np.float64):
         cfg = toy_config()
-        model = EnsembleModel(cfg)
+        model = Classifier(cfg, "ensemble")
         model.head["w1"].data[cfg.d_model:, :] = 0.0
         p1, p2 = build_both([5, 6, 7], [10, 11], max_len=12)
         _, other = build_both([17, 18, 19], [12, 13, 14], max_len=12)
@@ -248,7 +250,7 @@ def test_blocked_head_rows_make_logits_ignore_second_branch():
 
 def test_inference_is_deterministic_and_dropout_rng_is_live():
     cfg = toy_config(dropout_rate=0.3)
-    model = EnsembleModel(cfg)
+    model = Classifier(cfg, "ensemble")
     batch = toy_batch()
     a = forward_batch(model, batch).data
     b = forward_batch(model, batch).data
@@ -258,23 +260,27 @@ def test_inference_is_deterministic_and_dropout_rng_is_live():
 
 
 def test_ensemble_forward_requires_both_orders():
-    model = EnsembleModel(toy_config())
     batch = toy_batch()
-    with pytest.raises(DataError, match="text_first, entity_first"):
-        forward_ensemble_batch(model, batch.second, batch.first)
+    swapped = PairBatch(first=batch.second, second=batch.first, labels=batch.labels)
+    with pytest.raises(DataError, match=r"needs \(text_first, entity_first\)"):
+        forward_batch(Classifier(toy_config(), "ensemble"), swapped)
+    with pytest.raises(DataError, match=r"needs \(text_first\) blocks, got \(entity_first\)"):
+        forward_batch(Classifier(toy_config(), "single"), swapped)
 
 
 def test_single_pair_forwards_return_class_vectors():
     cfg = toy_config()
     p1, p2 = build_both([5, 6], [10], max_len=12, label_id=2)
-    assert forward_single(SingleModel(cfg), p1).data.shape == (6,)
-    assert forward_ensemble(EnsembleModel(cfg), p1, p2).data.shape == (6,)
+    assert forward_single(Classifier(cfg, "single"), p1).data.shape == (6,)
+    assert forward_ensemble(Classifier(cfg, "ensemble"), p1, p2).data.shape == (6,)
 
 
 def test_forward_batch_dispatches_on_kind():
     batch = toy_batch()
-    assert forward_batch(EnsembleModel(toy_config()), batch).data.shape == (2, 6)
-    assert forward_batch(SingleModel(toy_config()), batch).data.shape == (2, 6)
+    for kind in ARMS:
+        assert forward_batch(Classifier(toy_config(), kind), batch).data.shape == (2, 6)
+    with pytest.raises(DataError, match="unknown model kind"):
+        Classifier(toy_config(), "triple")
 
 
 def branch_param_count(cfg: ModelConfig) -> int:
@@ -288,20 +294,20 @@ def test_count_params_matches_closed_form():
     d, h, c = cfg.d_model, cfg.d_hidden, cfg.n_classes
     ens = 2 * branch_param_count(cfg) + (2 * d * h + h + h * c + c)
     sing = branch_param_count(cfg) + (d * c + c)
-    assert count_params(EnsembleModel(cfg)) == ens
-    assert count_params(SingleModel(cfg)) == sing
+    assert count_params(Classifier(cfg, "ensemble")) == ens
+    assert count_params(Classifier(cfg, "single")) == sing
 
 
-@pytest.mark.parametrize("kind", [EnsembleModel, SingleModel])
+@pytest.mark.parametrize("kind", list(ARMS))
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, kind):
-    model = kind(toy_config(seed=9))
+    model = Classifier(toy_config(seed=9), kind)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     first_bytes = path.read_bytes()
     assert first_bytes.startswith(CHECKPOINT_MAGIC)
 
     loaded = load_checkpoint(path)
-    assert type(loaded) is kind
+    assert loaded.kind == kind
     assert loaded.config == model.config
     orig, back = model.parameters(), loaded.parameters()
     assert list(orig) == list(back)
@@ -317,8 +323,51 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, kind):
     assert again.read_bytes() == first_bytes
 
 
+@pytest.mark.parametrize("kind", list(ARMS))
+def test_golden_checkpoints_load_and_resave_byte_for_byte(tmp_path, kind):
+    """Checkpoints written by earlier code (TOY config, seed 9) still load,
+    re-save to the same bytes and give the same logits; a fresh model of
+    that config draws the same parameters under the same names."""
+    golden = DATA / f"golden_{kind}.ckpt"
+    blob = golden.read_bytes()
+    fresh = tmp_path / "fresh.ckpt"
+    save_checkpoint(Classifier(toy_config(seed=9), kind), fresh)
+    assert fresh.read_bytes() == blob
+
+    with use_dtype(np.float64):
+        loaded = load_checkpoint(golden)
+        logits = forward_batch(loaded, toy_batch()).data
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(loaded, resaved)
+    assert resaved.read_bytes() == blob
+    expected = np.array(json.loads(GOLDEN_LOGITS.read_text(encoding="utf-8"))["logits"][kind])
+    assert logits.shape == expected.shape
+    assert np.abs(logits - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", list(ARMS))
+def test_gradient_check_passes_for_every_arm(kind):
+    with use_dtype(np.float64):
+        cfg = toy_config(vocab_size=50, max_len=16, n_layers=1, seed=0)
+        model = Classifier(cfg, kind)
+        rng = np.random.default_rng(4)
+        pairs = [
+            build_both(rng.integers(4, 50, size=5).tolist(), rng.integers(4, 50, size=2).tolist(),
+                       cfg.max_len, int(rng.integers(0, cfg.n_classes)))
+            for _ in range(2)
+        ]
+        batch = batchify(pairs, batch_size=2)[0]
+
+        def loss_fn():
+            return cross_entropy(forward_batch(model, batch), batch.labels)
+
+        report = grad_check(loss_fn, model.parameters(), tolerance=1e-3, h=1e-4)
+    assert set(report.per_param) == set(model.parameters())
+    assert report.passed, f"worst {report.worst_param}: {report.max_rel_err:.3e}"
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
-    model = SingleModel(toy_config())
+    model = Classifier(toy_config(), "single")
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()

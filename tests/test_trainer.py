@@ -11,7 +11,7 @@ import pytest
 import meder.numcore as nc
 from meder.corpus import LabelSet, RawRecord, split_fingerprint
 from meder.errors import DataError, NumericError
-from meder.model import EnsembleModel, ModelConfig, SingleModel, load_checkpoint, save_checkpoint
+from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.numcore import use_dtype
 from meder.pairseq import PairOrder
 from meder.textprep import PrepConfig, preprocess_text
@@ -130,7 +130,7 @@ def test_adamw_requires_gradients():
 
 
 def test_zero_learning_rate_leaves_parameters_frozen():
-    model = SingleModel(small_config())
+    model = Classifier(small_config(), "single")
     before = {k: p.data.copy() for k, p in model.parameters().items()}
     _, history = train(model, PAIRS[:8], PAIRS[8:], small_train_config(
         learning_rate=0.0, epochs=2))
@@ -140,7 +140,7 @@ def test_zero_learning_rate_leaves_parameters_frozen():
 
 
 def test_training_reduces_loss_on_separable_toy():
-    model = EnsembleModel(small_config())
+    model = Classifier(small_config(), "ensemble")
     _, history = train(model, PAIRS, [], small_train_config(epochs=5))
     first, last = history.records[0], history.records[-1]
     assert last.train_loss < first.train_loss
@@ -149,7 +149,7 @@ def test_training_reduces_loss_on_separable_toy():
 
 def test_seeded_training_is_reproducible():
     def run():
-        model = EnsembleModel(small_config(dropout_rate=0.1))
+        model = Classifier(small_config(dropout_rate=0.1), "ensemble")
         return train(model, PAIRS[:10], PAIRS[10:], small_train_config())
 
     model_a, hist_a = run()
@@ -160,7 +160,7 @@ def test_seeded_training_is_reproducible():
 
 
 def test_divergence_raises_numeric_error():
-    model = SingleModel(small_config())
+    model = Classifier(small_config(), "single")
     model.head["w"].data[:] = np.nan
     with pytest.raises(NumericError, match=r"diverged at epoch 1, step 1"):
         train(model, PAIRS[:8], [], small_train_config())
@@ -168,14 +168,14 @@ def test_divergence_raises_numeric_error():
 
 def test_returned_model_has_best_validation_accuracy():
     cfg = small_train_config(epochs=6)
-    model, history = train(EnsembleModel(small_config()), PAIRS[:10], PAIRS[10:], cfg)
+    model, history = train(Classifier(small_config(), "ensemble"), PAIRS[:10], PAIRS[10:], cfg)
     best = max(r.val_accuracy for r in history.records)
     report = evaluate(model, PAIRS[10:], batch_size=cfg.batch_size)
     assert float(report.accuracy) == best
 
 
 def test_empty_validation_yields_nan_metrics():
-    _, history = train(SingleModel(small_config()), PAIRS[:8], [],
+    _, history = train(Classifier(small_config(), "single"), PAIRS[:8], [],
                        small_train_config(epochs=2))
     for record in history.records:
         assert math.isnan(record.val_loss)
@@ -184,14 +184,14 @@ def test_empty_validation_yields_nan_metrics():
 
 
 def test_patience_stops_stale_training():
-    _, history = train(SingleModel(small_config()), PAIRS[:8], PAIRS[8:],
+    _, history = train(Classifier(small_config(), "single"), PAIRS[:8], PAIRS[8:],
                        small_train_config(learning_rate=0.0, epochs=10, patience=1))
     assert len(history.records) == 2
 
 
 def test_eval_every_checkpoints_mid_epoch():
     cfg = small_train_config(epochs=2, eval_every=1)
-    model, history = train(EnsembleModel(small_config()), PAIRS[:10], PAIRS[10:], cfg)
+    model, history = train(Classifier(small_config(), "ensemble"), PAIRS[:10], PAIRS[10:], cfg)
     assert len(history.records) == 2
     best = max(r.val_accuracy for r in history.records)
     assert float(evaluate(model, PAIRS[10:], cfg.batch_size).accuracy) >= best
@@ -199,11 +199,11 @@ def test_eval_every_checkpoints_mid_epoch():
 
 def test_train_requires_training_pairs():
     with pytest.raises(DataError, match="non-empty training set"):
-        train(SingleModel(small_config()), [], PAIRS, small_train_config())
+        train(Classifier(small_config(), "single"), [], PAIRS, small_train_config())
 
 
 def test_history_serializes_to_json():
-    _, history = train(SingleModel(small_config()), PAIRS[:8], PAIRS[8:],
+    _, history = train(Classifier(small_config(), "single"), PAIRS[:8], PAIRS[8:],
                        small_train_config(epochs=2))
     rows = json.loads(history.to_json())
     assert [r["epoch"] for r in rows] == [1, 2]
@@ -212,18 +212,18 @@ def test_history_serializes_to_json():
 
 
 def test_tied_logits_predict_the_smallest_label_id():
-    model = SingleModel(small_config())
+    model = Classifier(small_config(), "single")
     model.head["w"].data[:] = 0.0
     model.head["b"].data[:] = 0.0
     for name in ("word_emb", "seg_emb", "pos_emb"):
-        model.branch.params[name].data[:] = 0.0
+        model.branches[0].params[name].data[:] = 0.0
     golds, preds = predictions(model, PAIRS)
     assert np.array_equal(golds, np.array([p.label_id for p, _ in PAIRS]))
     assert np.array_equal(preds, np.zeros(len(PAIRS), dtype=np.int64))
 
 
 def test_evaluate_counts_agree_with_predictions():
-    model = EnsembleModel(small_config())
+    model = Classifier(small_config(), "ensemble")
     golds, preds = predictions(model, PAIRS)
     report = evaluate(model, PAIRS)
     assert report.accuracy == Fraction(int((golds == preds).sum()), len(PAIRS))
@@ -233,7 +233,7 @@ def test_evaluate_counts_agree_with_predictions():
 
 
 def test_checkpoint_preserves_evaluation(tmp_path):
-    model, _ = train(EnsembleModel(small_config()), PAIRS[:10], PAIRS[10:],
+    model, _ = train(Classifier(small_config(), "ensemble"), PAIRS[:10], PAIRS[10:],
                      small_train_config(epochs=2))
     path = tmp_path / "trained.ckpt"
     save_checkpoint(model, path)
@@ -260,8 +260,7 @@ def comparison_data():
 
 def test_compare_reports_both_arms_and_exact_deltas():
     data = comparison_data()
-    report = compare(small_config(), small_config(seed=9), data,
-                     small_train_config(epochs=2))
+    report = compare(small_config(), data, small_train_config(epochs=2))
     payload = json.loads(report.to_json())
     jsonschema.validate(payload, COMPARISON_JSON_SCHEMA)
     assert payload["schema"] == COMPARISON_SCHEMA
@@ -276,20 +275,15 @@ def test_compare_reports_both_arms_and_exact_deltas():
 
 
 def test_compare_rejects_mismatched_arms_and_empty_test():
-    data = comparison_data()
-    with pytest.raises(DataError, match="disagree on n_classes"):
-        compare(small_config(), small_config(n_classes=3), data,
-                small_train_config(epochs=1))
     empty_test = prepare_data((RECORDS[:10], RECORDS[10:], []), LABELS, PREP,
                               VOCAB, MAX_LEN)
     with pytest.raises(DataError, match="non-empty test split"):
-        compare(small_config(), small_config(), empty_test,
-                small_train_config(epochs=1))
+        compare(small_config(), empty_test, small_train_config(epochs=1))
 
 
 def test_predict_runs_the_full_pipeline():
     record = RECORDS[0]
-    ensemble = EnsembleModel(small_config())
+    ensemble = Classifier(small_config(), "ensemble")
     result = predict(ensemble, VOCAB, PREP, LABELS, record.text, record.entity,
                      max_len=MAX_LEN)
     assert result.label == LABELS.names[result.label_id]
@@ -305,18 +299,15 @@ def test_predict_runs_the_full_pipeline():
     _, preds = predictions(ensemble, [pair])
     assert result.label_id == int(preds[0])
 
-    single = SingleModel(small_config())
+    single = Classifier(small_config(), "single")
     text_first = predict(single, VOCAB, PREP, LABELS, record.text, record.entity,
                          max_len=MAX_LEN)
     _, single_preds = predictions(single, [pair])
     assert text_first.label_id == int(single_preds[0])
-    entity_first = predict(single, VOCAB, PREP, LABELS, record.text, record.entity,
-                           max_len=MAX_LEN, single_order=PairOrder.ENTITY_FIRST)
-    assert entity_first.label == LABELS.names[entity_first.label_id]
 
 
 def test_predict_rejects_bad_queries():
-    model = EnsembleModel(small_config())
+    model = Classifier(small_config(), "ensemble")
     with pytest.raises(DataError, match="entity is empty"):
         predict(model, VOCAB, PREP, LABELS, "patient took neomycin", "...",
                 max_len=MAX_LEN)
