@@ -36,7 +36,7 @@ from .corpus import (
     write_corpus,
 )
 from .errors import DataError, NumericError, ShapeError, UsageError
-from .metrics import aggregate, confusion, render
+from .metrics import confusion, render
 from .model import (
     ARMS,
     Classifier,
@@ -54,6 +54,7 @@ from .trainer import (
     PreparedData,
     TrainConfig,
     compare,
+    encode_records,
     predict,
     predictions,
     prepare_data,
@@ -473,30 +474,36 @@ def cmd_train(rc: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(rc: RunConfig) -> int:
+def _trained_artefacts(rc: RunConfig) -> tuple[Classifier, Vocab, LabelSet]:
+    """Load the checkpoint, vocab and labels, refusing a vocab or label
+    set whose size differs from the one the checkpoint was trained on."""
     labels = _labels(rc)
     ckpt = _checkpoint_path(rc)
     if not ckpt.exists():
         raise DataError(f"checkpoint {ckpt} does not exist; run `meder train` first")
     model = load_checkpoint(ckpt)
-    if model.config.n_classes != len(labels):
-        raise DataError(
-            f"checkpoint has {model.config.n_classes} classes, labels file has {len(labels)}"
-        )
     vocab_path = _vocab_path(rc)
     if not vocab_path.exists():
         raise DataError(f"vocab file {vocab_path} does not exist")
     vocab = load_vocab(vocab_path)
+    cfg = model.config
+    for what, have, want in (("vocab", len(vocab), cfg.vocab_size),
+                             ("labels", len(labels), cfg.n_classes)):
+        if have != want:
+            raise DataError(f"{what} file has {have} entries, checkpoint {ckpt} expects {want}")
+    return model, vocab, labels
+
+
+def cmd_eval(rc: RunConfig) -> int:
+    model, vocab, labels = _trained_artefacts(rc)
     records = load_corpus(_corpus_path(rc), labels)
-    prep_cfg = _prep_config(rc)
-    splits = split(records, _split_spec(rc))
-    data = prepare_data(splits, labels, prep_cfg, vocab, model.config.max_len)
-    if not data.test:
+    test_records = split(records, _split_spec(rc))[2]
+    test = encode_records(test_records, labels, _prep_config(rc), vocab, model.config.max_len)
+    if not test:
         raise DataError("test split is empty; adjust --test-frac")
-    golds, preds = predictions(model, data.test, rc.batch_size)
+    golds, preds = predictions(model, test, rc.batch_size)
     cm = confusion(golds.tolist(), preds.tolist(), len(labels))
-    report = aggregate(cm)
-    rendered = render(report, cm, labels.names)
+    rendered = render(cm, labels.names)
     print(rendered.table_text)
     print(rendered.confusion_csv, end="")
     out = _out_dir(rc)
@@ -512,18 +519,8 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
         raise UsageError("predict requires --text")
     if not entity:
         raise UsageError("predict requires --entity")
-    labels = _labels(rc)
-    ckpt = _checkpoint_path(rc)
-    if not ckpt.exists():
-        raise DataError(f"checkpoint {ckpt} does not exist; run `meder train` first")
-    model = load_checkpoint(ckpt)
-    vocab_path = _vocab_path(rc)
-    if not vocab_path.exists():
-        raise DataError(f"vocab file {vocab_path} does not exist")
-    vocab = load_vocab(vocab_path)
-    result = predict(
-        model, vocab, _prep_config(rc), labels, text, entity, max_len=model.config.max_len
-    )
+    model, vocab, labels = _trained_artefacts(rc)
+    result = predict(model, vocab, _prep_config(rc), labels, text, entity)
     payload = {
         "label": result.label,
         "label_id": result.label_id,
@@ -605,10 +602,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except (DataError, ShapeError) as e:
+    except (DataError, ShapeError, OSError, UnicodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -177,10 +177,12 @@ def _pct(value: Ratio) -> str:
     return f"{float(value) * 100:.2f}"
 
 
-def render(report: MetricsReport, cm: ConfusionMatrix, labels: Sequence[str]) -> RenderedReport:
-    """Render a report as a text table, a JSON document, and a confusion CSV."""
-    if len(labels) != report.n_classes:
-        raise DataError(f"{len(labels)} label names for {report.n_classes} classes")
+def render(cm: ConfusionMatrix, labels: Sequence[str]) -> RenderedReport:
+    """Render a matrix's report as a text table, a JSON document, and a
+    confusion CSV."""
+    if len(labels) != cm.n_classes:
+        raise DataError(f"{len(labels)} label names for {cm.n_classes} classes")
+    report = aggregate(cm)
 
     width = max(len(str(lab)) for lab in list(labels) + ["Overall Accuracy"]) + 2
     lines = [f"{'Metric':<{width}}{'Precision (%)':>15}{'Recall (%)':>13}{'F1-Score (%)':>15}"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -47,10 +48,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.d_hidden == 0:
             object.__setattr__(self, "d_hidden", self.d_model)
-        for field in ("vocab_size", "max_len", "d_model", "n_heads", "n_layers",
-                      "d_ff", "n_classes", "d_hidden"):
+        for field in _CONFIG_INT_FIELDS:
             v = getattr(self, field)
-            low = 0 if field == "n_layers" else 1
+            low = 0 if field in ("n_layers", "seed") else 1
             if not isinstance(v, int) or v < low:
                 raise DataError(f"{field} must be an integer >= {low}, got {v!r}")
         if self.vocab_size < 4:
@@ -333,58 +333,51 @@ def forward_batch(
     return _forward(model, (batch.first, batch.second)[:len(model.branches)], rng)
 
 
-def _config_header(cfg: ModelConfig) -> list[str]:
-    lines = [f"{f}={getattr(cfg, f)}" for f in _CONFIG_INT_FIELDS]
+def _layout(model: Classifier) -> tuple[bytes, list[np.ndarray]]:
+    """The checkpoint bytes up to the tensor data (magic, then a text
+    header of kind, config, tensor manifest with shapes and byte offsets,
+    and `end`) and the <f4 tensors that follow it, in parameter order."""
+    cfg = model.config
+    lines = [f"kind={model.kind}"]
+    lines += [f"{f}={getattr(cfg, f)}" for f in _CONFIG_INT_FIELDS]
     lines.append(f"dropout_rate={cfg.dropout_rate!r}")
-    return lines
+    params = model.parameters()
+    lines.append(f"tensors={len(params)}")
+    arrays = []
+    offset = 0
+    for name, t in params.items():
+        arr = np.ascontiguousarray(t.data, dtype="<f4")
+        lines.append(f"{name} {','.join(str(d) for d in arr.shape)} {offset}")
+        arrays.append(arr)
+        offset += arr.nbytes
+    lines.append("end")
+    return CHECKPOINT_MAGIC + "\n".join(lines).encode("utf-8") + b"\n", arrays
 
 
 def save_checkpoint(model: Classifier, path: Union[str, Path]) -> None:
-    """Write magic, text header, tensor manifest, then raw <f4 data."""
-    params = model.parameters()
-    arrays = {name: np.ascontiguousarray(t.data, dtype="<f4") for name, t in params.items()}
-    manifest = []
-    offset = 0
-    for name, arr in arrays.items():
-        dims = ",".join(str(d) for d in arr.shape)
-        manifest.append(f"{name} {dims} {offset}")
-        offset += arr.nbytes
-    header = [f"kind={model.kind}"]
-    header.extend(_config_header(model.config))
-    header.append(f"tensors={len(arrays)}")
-    header.extend(manifest)
-    header.append("end")
-    blob = CHECKPOINT_MAGIC + "\n".join(header).encode("utf-8") + b"\n"
-    blob += b"".join(arr.tobytes() for arr in arrays.values())
-    Path(path).write_bytes(blob)
+    header, arrays = _layout(model)
+    Path(path).write_bytes(header + b"".join(arr.tobytes() for arr in arrays))
 
 
 def load_checkpoint(path: Union[str, Path]) -> Classifier:
+    """Rebuild the model whose `save_checkpoint` bytes the file holds.
+
+    Only kind and config are parsed; the rest of the header must equal
+    the one the rebuilt model lays out, and the file must end where its
+    tensors do.  Any other bytes, or a NaN or inf weight, raise DataError.
+    """
     p = Path(path)
     blob = p.read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{p}: not a checkpoint (bad magic bytes)")
-    pos = len(CHECKPOINT_MAGIC)
-    lines: list[str] = []
-    while True:
-        nl = blob.find(b"\n", pos)
-        if nl < 0:
-            raise DataError(f"{p}: truncated checkpoint header")
-        line = blob[pos:nl].decode("utf-8")
-        pos = nl + 1
-        if line == "end":
-            break
-        lines.append(line)
-    data_start = pos
-
-    fields: dict[str, str] = {}
-    idx = 0
-    while idx < len(lines) and "=" in lines[idx]:
-        key, _, value = lines[idx].partition("=")
-        fields[key] = value
-        idx += 1
-        if key == "tensors":
-            break
+    stop = blob.find(b"\nend\n", len(CHECKPOINT_MAGIC) - 1)
+    if stop < 0:
+        raise DataError(f"{p}: truncated checkpoint header")
+    try:
+        lines = blob[:stop + len(b"\nend\n")].decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{p}: checkpoint header is not UTF-8 at byte {e.start}") from None
+    fields = dict(line.partition("=")[::2] for line in lines)
     kind = fields.get("kind")
     if kind not in ARMS:
         raise DataError(f"{p}: unknown checkpoint kind {kind!r}")
@@ -393,43 +386,21 @@ def load_checkpoint(path: Union[str, Path]) -> Classifier:
             **{f: int(fields[f]) for f in _CONFIG_INT_FIELDS},
             dropout_rate=float(fields["dropout_rate"]),
         )
-        n_tensors = int(fields["tensors"])
     except (KeyError, ValueError) as e:
         raise DataError(f"{p}: bad checkpoint header: {e}") from None
-
-    manifest_lines = lines[idx:]
-    if len(manifest_lines) != n_tensors:
-        raise DataError(
-            f"{p}: manifest lists {len(manifest_lines)} tensors, header says {n_tensors}"
-        )
     model = Classifier(cfg, kind)
-    params = model.parameters()
-    expected = list(params)
-    data = blob[data_start:]
-    seen: list[str] = []
-    for line in manifest_lines:
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise DataError(f"{p}: malformed manifest line {line!r}")
-        name, dims_s, offset_s = parts
-        shape = tuple(int(d) for d in dims_s.split(","))
-        offset = int(offset_s)
-        if name not in params:
-            raise DataError(f"{p}: checkpoint tensor {name!r} not in a {kind} model")
-        target = params[name]
-        if shape != target.data.shape:
-            raise DataError(
-                f"{p}: tensor {name} has shape {shape}, model expects {target.data.shape}"
-            )
-        nbytes = int(np.prod(shape)) * 4
-        if offset + nbytes > len(data):
-            raise DataError(f"{p}: tensor {name} overruns the data section")
-        arr = np.frombuffer(data[offset:offset + nbytes], dtype="<f4").reshape(shape)
-        target.data = arr.astype(nc.default_dtype())
-        seen.append(name)
-    if seen != expected:
-        raise DataError(
-            f"{p}: checkpoint parameters do not match the model "
-            f"(got {len(seen)} tensors, expected {len(expected)})"
-        )
+    header, arrays = _layout(model)
+    for got, want in zip_longest(lines, header.decode("utf-8").split("\n")):
+        if got != want:
+            raise DataError(f"{p}: header line {got!r} differs from the {kind} layout's {want!r}")
+    size = len(header) + sum(arr.nbytes for arr in arrays)
+    if len(blob) != size:
+        raise DataError(f"{p}: checkpoint is {len(blob)} bytes, its layout needs {size}")
+    offset = len(header)
+    for t, arr in zip(model.parameters().values(), arrays):
+        data = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset)
+        if not np.isfinite(data).all():
+            raise DataError(f"{p}: tensor {t.name} holds NaN or inf")
+        t.data = data.reshape(arr.shape).astype(nc.default_dtype())
+        offset += arr.nbytes
     return model

@@ -395,10 +395,11 @@ def predict(
     labels: LabelSet,
     text: str,
     entity: str,
-    max_len: int = 484,
+    max_len: Optional[int] = None,
 ) -> PredictResult:
     """Full pipeline for one (text, entity) query in eval mode; the query
-    is packed once per branch, in the order the model's layout fixes."""
+    is packed once per branch, in the order the model's layout fixes, to
+    `max_len` (default: the model's)."""
     if len(labels) != model.config.n_classes:
         raise DataError(
             f"label set has {len(labels)} entries, model expects {model.config.n_classes}"
@@ -411,6 +412,7 @@ def predict(
         raise DataError("text is empty after preprocessing")
     text_ids = encode_text(text_tokens, vocab)
     entity_ids = encode_text(entity_tokens, vocab)
+    max_len = model.config.max_len if max_len is None else max_len
     pairs = [build_pair(text_ids, entity_ids, o, max_len, label_id=0) for o in model.orders]
     # bench/tracer.py times predict's forward under these two names
     forward_one = forward_single if len(pairs) == 1 else forward_ensemble

@@ -10,8 +10,7 @@ from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
 from meder.cli import RunConfig, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
 from meder.model import Classifier, ModelConfig, save_checkpoint
-from meder.textprep import PrepConfig, preprocess_text
-from meder.tokenizer import encode_text, load_vocab
+from meder.tokenizer import load_vocab
 from meder.trainer import COMPARISON_JSON_SCHEMA
 
 LABELS = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
@@ -56,7 +55,7 @@ def test_usage_errors_exit_1(capsys):
         assert "usage error:" in err, argv
 
 
-def test_data_errors_exit_2(capsys):
+def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--corpus", "/does/not/exist.jsonl")
     assert code == 2
     assert "data error:" in err
@@ -64,6 +63,19 @@ def test_data_errors_exit_2(capsys):
     code, _, err = run(capsys, "stats", "--labels", "/does/not/exist.txt")
     assert code == 2
     assert "does not exist" in err
+
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"Disease\n\xe9\n")
+    for argv in (
+        ["stats", "--corpus", str(tmp_path)],
+        ["stats", "--config", str(tmp_path)],
+        ["stats", "--labels", str(not_utf8)],
+        ["train", "--out-dir", str(tmp_path / "out"), "--vocab", str(not_utf8)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("data error:"), argv
+        assert "Traceback" not in err, argv
 
 
 def test_gradcheck_passes_and_reports(capsys):
@@ -217,26 +229,25 @@ def test_train_eval_predict_flow(tmp_path, capsys):
     assert code == 1 and "unrecognized arguments: --order" in err
 
 
-def test_predict_with_a_vocab_larger_than_the_checkpoint_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("vocab_size", [300, 150])
+def test_predict_with_a_vocab_larger_than_the_checkpoint_exits_2(tmp_path, capsys, vocab_size):
+    """Any vocab whose size differs from the checkpoint's is refused
+    before the first forward pass, whatever the query's token ids."""
     out = tmp_path / "out"
-    code, _, _ = run(capsys, "vocab", "--out-dir", str(out), "--target-size", "300")
+    code, _, _ = run(capsys, "vocab", "--out-dir", str(out), "--target-size", str(vocab_size))
     assert code == 0
-    vocab = load_vocab(out / "vocab.txt")
-    assert len(vocab) == 300
+    assert len(load_vocab(out / "vocab.txt")) == vocab_size
     cfg = ModelConfig(vocab_size=200, max_len=48, d_model=8, n_heads=2, n_layers=1,
                       d_ff=16, n_classes=len(LABELS))
     save_checkpoint(Classifier(cfg, "single"), out / "model.ckpt")
-    prep = PrepConfig.default()
-    record = next(
-        r for r in load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)
-        if max(encode_text(preprocess_text(r.text, prep), vocab)) >= cfg.vocab_size
-    )
-    code, text_out, err = run(capsys, "predict", "--out-dir", str(out),
-                              "--text", record.text, "--entity", record.entity)
-    assert code == 2
-    assert text_out == ""
-    assert err.startswith("data error:") and "out of range [0, 200)" in err
-    assert "Traceback" not in err
+    record = load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)[0]
+    for command in (["predict", "--text", record.text, "--entity", record.entity], ["eval"]):
+        code, text_out, err = run(capsys, *command, "--out-dir", str(out))
+        assert code == 2
+        assert text_out == ""
+        assert err.startswith("data error:")
+        assert f"vocab file has {vocab_size} entries" in err and "expects 200" in err
+        assert "Traceback" not in err
 
 
 def test_predict_without_checkpoint_exits_2(tmp_path, capsys):

@@ -227,8 +227,7 @@ def test_micro_f1_equals_accuracy_property(pairs):
 
 def test_render_formats_percentages():
     cm = ConfusionMatrix(((7, 1), (1, 7)))
-    report = aggregate(cm)
-    rendered = render(report, cm, ["A", "B"])
+    rendered = render(cm, ["A", "B"])
     assert "87.50" in rendered.table_text
     assert "Overall Accuracy" in rendered.table_text
     assert "Micro F1-Score" in rendered.table_text
@@ -238,7 +237,7 @@ def test_render_formats_percentages():
 
 def test_render_csv_shape():
     cm = ConfusionMatrix(((2, 1, 0), (0, 3, 1), (1, 0, 2)))
-    rendered = render(aggregate(cm), cm, ["x", "y", "z"])
+    rendered = render(cm, ["x", "y", "z"])
     lines = rendered.confusion_csv.strip().split("\n")
     assert len(lines) == 4
     assert lines[0] == "actual,x,y,z"
@@ -248,7 +247,7 @@ def test_render_csv_shape():
 def test_render_rejects_label_mismatch():
     cm = ConfusionMatrix(((1, 0), (0, 1)))
     with pytest.raises(DataError, match="label names"):
-        render(aggregate(cm), cm, ["only-one"])
+        render(cm, ["only-one"])
 
 
 def test_report_json_round_trip_is_byte_identical():

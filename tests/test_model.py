@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meder.model as mm
 from meder.errors import DataError, ShapeError
@@ -66,6 +68,7 @@ def test_config_fills_d_hidden_and_d_head():
     dict(dropout_rate=1.0),
     dict(dropout_rate=-0.1),
     dict(max_len="12"),
+    dict(seed=-1),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(DataError):
@@ -388,5 +391,59 @@ def test_checkpoint_rejects_corruption(tmp_path):
     n = len(model.parameters())
     bad.write_bytes(blob.replace(
         f"tensors={n}".encode(), f"tensors={n + 1}".encode(), 1))
-    with pytest.raises(DataError, match="manifest lists"):
+    with pytest.raises(DataError, match=f"header line 'tensors={n + 1}' differs"):
         load_checkpoint(bad)
+
+    bad.write_bytes(blob + b"\0\0\0\0")
+    with pytest.raises(DataError, match="bytes, its layout needs"):
+        load_checkpoint(bad)
+
+    # seg_emb follows the 20x8 word_emb at byte 640; moved to 0 it
+    # would overlap word_emb
+    bad.write_bytes(blob.replace(b"branch.seg_emb 2,8 640", b"branch.seg_emb 2,8 0", 1))
+    with pytest.raises(DataError, match="'branch.seg_emb 2,8 0' differs"):
+        load_checkpoint(bad)
+
+    bad.write_bytes(blob.replace(b"branch.seg_emb 2,8", b"branch.seg_emb 2,x", 1))
+    with pytest.raises(DataError, match="differs"):
+        load_checkpoint(bad)
+
+    bad.write_bytes(blob.replace(b"branch.seg_emb", b"branch.seg\xffemb", 1))
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_checkpoint(bad)
+
+    for value in (np.nan, np.inf):
+        bad.write_bytes(blob[:-4] + np.array([value], dtype="<f4").tobytes())
+        with pytest.raises(DataError, match="head.b holds NaN or inf"):
+            load_checkpoint(bad)
+
+
+FUZZ_SOURCE = (DATA / "golden_ensemble.ckpt").read_bytes()
+FUZZ_HEADER_END = FUZZ_SOURCE.index(b"\nend\n") + len(b"\nend\n")
+# positions inside the header are drawn as often as positions anywhere
+_fuzz_position = st.one_of(st.integers(0, FUZZ_HEADER_END - 1),
+                           st.integers(0, len(FUZZ_SOURCE) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=st.one_of(
+    st.tuples(st.just("substitute"), _fuzz_position, st.integers(0, 255)),
+    st.tuples(st.just("truncate"), _fuzz_position),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+))
+def test_fuzzed_checkpoint_loads_or_raises_data_error(tmp_path_factory, edit):
+    """Single-byte substitutions, truncations and appended bytes either
+    still load or raise DataError, never another exception."""
+    if edit[0] == "substitute":
+        _, pos, byte = edit
+        blob = FUZZ_SOURCE[:pos] + bytes([byte]) + FUZZ_SOURCE[pos + 1:]
+    elif edit[0] == "truncate":
+        blob = FUZZ_SOURCE[:edit[1]]
+    else:
+        blob = FUZZ_SOURCE + edit[1]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass

@@ -306,6 +306,17 @@ def test_predict_runs_the_full_pipeline():
     assert text_first.label_id == int(single_preds[0])
 
 
+def test_predict_packs_to_the_model_max_len_by_default():
+    record = RECORDS[0]
+    model = Classifier(small_config(max_len=48), "ensemble")
+    result = predict(model, VOCAB, PREP, LABELS, record.text, record.entity)
+    assert result == predict(model, VOCAB, PREP, LABELS, record.text, record.entity,
+                             max_len=48)
+    pair = encode_records([record], LABELS, PREP, VOCAB, 48)[0]
+    _, preds = predictions(model, [pair])
+    assert result.label_id == int(preds[0])
+
+
 def test_predict_rejects_bad_queries():
     model = Classifier(small_config(), "ensemble")
     with pytest.raises(DataError, match="entity is empty"):
