@@ -202,10 +202,27 @@ def encode_cls(
     attention_mask: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Embed, encode, and pool the CLS position: [B, d_model]."""
-    h = embed(branch, input_ids, segment_ids)
+    """Embed, encode, and pool the CLS position: [B, d_model].
+
+    The block is first cut after the last column that any row leaves
+    unmasked.  The CLS row reads only unmasked keys and a masked key's
+    softmax weight is exactly 0, so the cut changes the result only by
+    summation order while cost and memory follow the longest row.
+    """
+    ids, segs, mask = (np.asarray(a) for a in (input_ids, segment_ids, attention_mask))
+    if ids.ndim != 2 or not ids.shape == segs.shape == mask.shape:
+        raise ShapeError(
+            f"input_ids {ids.shape}, segment_ids {segs.shape} and attention_mask "
+            f"{mask.shape} must share one [batch, len] shape"
+        )
+    if ids.shape[1] > branch.cfg.max_len:
+        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_len {branch.cfg.max_len}")
+    if ids.shape[1] == 0 or not mask[:, 0].all():
+        raise DataError("every row must leave its [CLS] position 0 unmasked")
+    width = ids.shape[1] - int(np.argmax(mask[:, ::-1].any(axis=0)))
+    h = embed(branch, ids[:, :width], segs[:, :width])
     h = dropout(h, branch.cfg.dropout_rate, rng)
-    h = encode(branch, h, attention_mask, rng)
+    h = encode(branch, h, mask[:, :width], rng)
     return nc.select(h, 0, axis=1)
 
 

@@ -295,13 +295,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx of the tanh-approximation gelu; separate so tests can corrupt it."""
-    t = np.tanh(GELU_K0 * (x + GELU_K1 * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * GELU_K0 * (1.0 + 3.0 * GELU_K1 * x**2)
+    x2 = x * x
+    t = np.tanh(GELU_K0 * (x + GELU_K1 * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_K0 * (1.0 + 3.0 * GELU_K1 * x2)
 
 
 def gelu(a: Tensor) -> Tensor:
-    t = np.tanh(GELU_K0 * (a.data + GELU_K1 * a.data**3))
-    data = 0.5 * a.data * (1.0 + t)
+    x = a.data
+    t = np.tanh(GELU_K0 * (x + GELU_K1 * (x * x * x)))
+    data = 0.5 * x * (1.0 + t)
 
     def backward(g: np.ndarray) -> None:
         # late-bound module lookup so a corrupted gelu_grad is picked up

@@ -42,18 +42,22 @@ class EncodedPair:
             )
         if n == 0 or self.input_ids[0] != CLS_ID:
             raise DataError("input_ids must start with [CLS]")
-        if any(m not in (0, 1) for m in self.attention_mask):
+        ids, segs, mask = self.input_ids, self.segment_ids, self.attention_mask
+        k = mask.count(1)
+        if k + mask.count(0) != n:
             raise DataError("attention_mask entries must be 0 or 1")
-        if any(s not in (0, 1) for s in self.segment_ids):
+        if segs.count(0) + segs.count(1) != n:
             raise DataError("segment_ids entries must be 0 or 1")
-        if list(self.attention_mask) != sorted(self.attention_mask, reverse=True):
+        if mask[k:].count(1):
             raise DataError("attention_mask must be a prefix of 1s followed by 0s")
-        for i, (tok, m) in enumerate(zip(self.input_ids, self.attention_mask)):
-            if (tok != PAD_ID) != (m == 1):
-                raise DataError(f"position {i}: mask {m} inconsistent with id {tok}")
-            if m == 0 and self.segment_ids[i] != 0:
-                raise DataError(f"position {i}: padding must carry segment 0")
-        seps = sum(1 for tok, m in zip(self.input_ids, self.attention_mask) if m and tok == SEP_ID)
+        if PAD_ID in ids[:k] or ids[k:].count(PAD_ID) != n - k or segs[k:].count(0) != n - k:
+            # some position breaks the layout; report the first one
+            for i, (tok, m) in enumerate(zip(ids, mask)):
+                if (tok != PAD_ID) != (m == 1):
+                    raise DataError(f"position {i}: mask {m} inconsistent with id {tok}")
+                if m == 0 and segs[i] != 0:
+                    raise DataError(f"position {i}: padding must carry segment 0")
+        seps = ids[:k].count(SEP_ID)
         if seps != 2:
             raise DataError(f"expected exactly 2 [SEP] tokens, found {seps}")
         if self.label_id < 0:
@@ -61,7 +65,7 @@ class EncodedPair:
 
     @property
     def content_len(self) -> int:
-        return int(sum(self.attention_mask))
+        return self.attention_mask.count(1)
 
 
 def build_pair(

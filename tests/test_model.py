@@ -29,7 +29,7 @@ from meder.model import (
     save_checkpoint,
     trunc_normal,
 )
-from meder.numcore import Tensor, cross_entropy, grad_check, use_dtype
+from meder.numcore import Tensor, backward, cross_entropy, grad_check, select, use_dtype
 from meder.pairseq import PairBatch, batchify, build_both
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +249,94 @@ def test_blocked_head_rows_make_logits_ignore_second_branch():
         a = forward_ensemble(model, p1, p2).data
         b = forward_ensemble(model, p1, other).data
     assert np.array_equal(a, b)
+
+
+def uncut_cls(branch, input_ids, segment_ids, attention_mask, rng=None):
+    """The CLS vector of the whole block, padding columns included."""
+    return select(encode(branch, embed(branch, input_ids, segment_ids), attention_mask, rng),
+                  0, axis=1)
+
+
+def mixed_length_batch(max_len=24):
+    """Rows of content length 6 to 13 packed to max_len: 11 columns of
+    the block are padding in every row."""
+    shapes = [([5, 6], [10]), ([5, 6, 7, 8, 9, 12, 13], [10, 11, 14]),
+              ([15, 16, 17], [18, 19]), ([7, 8, 9, 10], [11])]
+    pairs = [build_both(t, e, max_len=max_len, label_id=i) for i, (t, e) in enumerate(shapes)]
+    return batchify(pairs, batch_size=len(pairs))[0]
+
+
+def param_grads(model, batch):
+    backward(cross_entropy(forward_batch(model, batch), batch.labels))
+    return {name: t.grad.copy() for name, t in model.parameters().items()}
+
+
+@pytest.mark.parametrize("kind", list(ARMS))
+def test_cut_blocks_match_the_uncut_stack(monkeypatch, kind):
+    """encode_cls drops the all-padding trailing columns; the CLS vectors
+    and every parameter gradient equal those of the full-width stack."""
+    with use_dtype(np.float64):
+        model = Classifier(toy_config(max_len=24, seed=11), kind)
+        batch = mixed_length_batch()
+        assert batch.first.attention_mask.sum(axis=1).max() == 13
+        for branch, block in zip(model.branches, (batch.first, batch.second)):
+            args = (branch, block.input_ids, block.segment_ids, block.attention_mask)
+            assert np.abs(encode_cls(*args).data - uncut_cls(*args).data).max() < 1e-12
+        cut = param_grads(model, batch)
+        monkeypatch.setattr(mm, "encode_cls", uncut_cls)
+        full = param_grads(model, batch)
+    assert list(cut) == list(full)
+    for name in cut:
+        assert np.abs(cut[name] - full[name]).max() < 1e-10, name
+
+
+def test_encode_sees_only_the_longest_row(monkeypatch):
+    widths = []
+
+    def spy(branch, hidden, attention_mask, rng=None):
+        widths.append(attention_mask.shape[1])
+        return encode(branch, hidden, attention_mask, rng)
+
+    monkeypatch.setattr(mm, "encode", spy)
+    batch = mixed_length_batch()
+    forward_batch(Classifier(toy_config(max_len=24), "ensemble"), batch)
+    assert widths == [13, 13]
+    forward_batch(Classifier(toy_config(max_len=24), "single"), batch)
+    assert widths == [13, 13, 13]
+
+
+def test_encode_cls_rejects_masked_cls_and_overwide_blocks():
+    branch = EncoderBranch(toy_config(), np.random.default_rng(0), "b.")
+    ids = np.array([[2, 5, 3, 7, 3, 0], [2, 6, 3, 8, 3, 0]])
+    segs = np.array([[0, 0, 0, 1, 1, 0]] * 2)
+    mask = (ids != 0).astype(np.int64)
+    assert encode_cls(branch, ids, segs, mask).data.shape == (2, 8)
+    no_cls = mask.copy()
+    no_cls[1, 0] = 0
+    with pytest.raises(DataError, match="position 0 unmasked"):
+        encode_cls(branch, ids, segs, no_cls)
+    with pytest.raises(DataError, match="position 0 unmasked"):
+        encode_cls(branch, ids[:, :0], segs[:, :0], mask[:, :0])
+    wide = [np.pad(a, ((0, 0), (0, 7))) for a in (ids, segs, mask)]
+    with pytest.raises(ShapeError, match="sequence length 13 exceeds max_len 12"):
+        encode_cls(branch, *wide)
+    with pytest.raises(ShapeError, match=r"one \[batch, len\] shape"):
+        encode_cls(branch, ids, segs, mask[:, :5])
+    with pytest.raises(ShapeError, match=r"one \[batch, len\] shape"):
+        encode_cls(branch, ids[0], segs[0], mask[0])
+
+
+def test_hand_built_block_with_interior_holes_is_cut_after_its_last_unmasked_column():
+    """The cut keeps every column up to the last one any row leaves
+    unmasked, so a masked column inside that width stays masked."""
+    with use_dtype(np.float64):
+        branch = EncoderBranch(toy_config(), np.random.default_rng(2), "b.")
+        ids = np.array([[2, 5, 0, 7, 3, 0, 0, 0]])
+        segs = np.zeros_like(ids)
+        mask = (ids != 0).astype(np.int64)
+        got = encode_cls(branch, ids, segs, mask)
+        want = uncut_cls(branch, ids, segs, mask)
+    assert np.abs(got.data - want.data).max() < 1e-12
 
 
 def test_inference_is_deterministic_and_dropout_rng_is_live():

@@ -278,6 +278,41 @@ def test_grad_check_small_network_passes_default_tolerance():
     assert report.max_rel_err < 1e-3
 
 
+def gelu_with_powers(x):
+    t = np.tanh(nc.GELU_K0 * (x + nc.GELU_K1 * x**3))
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_grad_with_powers(x):
+    t = np.tanh(nc.GELU_K0 * (x + nc.GELU_K1 * x**3))
+    return (0.5 * (1.0 + t)
+            + 0.5 * x * (1.0 - t**2) * nc.GELU_K0 * (1.0 + 3.0 * nc.GELU_K1 * x**2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_products_match_the_power_form(dtype):
+    """Errors are measured against the largest magnitude each formula
+    cancels: |x| for gelu, whose 1 + tanh falls to 0 for negative x, and
+    1 + |x| K0 (1 + 3 K1 x^2) / 2 for gelu_grad, whose 1 - tanh^2 does."""
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-12.0, 12.0, 20000), rng.normal(0.0, 1.0, 20000),
+                        rng.normal(0.0, 1e-3, 1000), [0.0]]).astype(dtype)
+    wide = x.astype(np.float64)
+    scales = (np.abs(wide),
+              1.0 + 0.5 * np.abs(wide) * nc.GELU_K0 * (1.0 + 3.0 * nc.GELU_K1 * wide**2))
+    with use_dtype(dtype):
+        got = (gelu(Tensor(x)).data, nc.gelu_grad(x))
+    want = (gelu_with_powers(x), gelu_grad_with_powers(x))
+    for g, w, scale in zip(got, want, scales):
+        assert g.dtype == dtype
+        err = np.abs(g.astype(np.float64) - w)
+        if dtype == np.float32:
+            ulp = np.spacing(scale.astype(np.float32)).astype(np.float64)
+            assert (err <= 4 * np.maximum(ulp, np.finfo(np.float32).tiny)).all()
+        else:
+            assert (err <= 1e-14 * scale).all()
+
+
 def test_grad_check_detects_corrupted_gelu(monkeypatch):
     rng = np.random.default_rng(8)
     monkeypatch.setattr(nc, "gelu_grad", lambda x: nc.GELU_K0 * np.ones_like(x))

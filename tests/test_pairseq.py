@@ -127,6 +127,49 @@ def test_encoded_pair_invariant_validation():
         EncodedPair(**{**ok, "label_id": -1})
 
 
+def per_position_verdict(ids, segs, mask):
+    """The pair invariants checked one position at a time, in the order
+    EncodedPair reports them: the message it must raise, or None."""
+    n = len(ids)
+    if len(segs) != n or len(mask) != n:
+        return "disagree on length"
+    if n == 0 or ids[0] != CLS_ID:
+        return "input_ids must start with [CLS]"
+    if any(m not in (0, 1) for m in mask):
+        return "attention_mask entries must be 0 or 1"
+    if any(s not in (0, 1) for s in segs):
+        return "segment_ids entries must be 0 or 1"
+    if list(mask) != sorted(mask, reverse=True):
+        return "prefix of 1s"
+    for i, (tok, m) in enumerate(zip(ids, mask)):
+        if (tok != PAD_ID) != (m == 1):
+            return f"position {i}: mask {m} inconsistent with id {tok}"
+        if m == 0 and segs[i] != 0:
+            return f"position {i}: padding must carry segment 0"
+    seps = sum(1 for tok, m in zip(ids, mask) if m and tok == SEP_ID)
+    if seps != 2:
+        return f"expected exactly 2 [SEP] tokens, found {seps}"
+    return None
+
+
+def test_pair_validation_agrees_with_the_per_position_reference():
+    rng = random.Random(17)
+    good = build_pair([5, 6, 7], [8, 9], PairOrder.TEXT_FIRST, max_len=12)
+    for _ in range(3000):
+        fields = [list(good.input_ids), list(good.segment_ids), list(good.attention_mask)]
+        for _ in range(rng.randint(1, 2)):
+            row = rng.choice(fields)
+            row[rng.randrange(len(row))] = rng.choice([0, 1, 2, 3, 5])
+        ids, segs, mask = (tuple(f) for f in fields)
+        want = per_position_verdict(ids, segs, mask)
+        if want is None:
+            EncodedPair(ids, segs, mask, PairOrder.TEXT_FIRST, 0)
+        else:
+            with pytest.raises(DataError) as info:
+                EncodedPair(ids, segs, mask, PairOrder.TEXT_FIRST, 0)
+            assert want in str(info.value)
+
+
 def test_built_pairs_satisfy_invariants_randomly():
     rng = random.Random(6)
     for _ in range(300):

@@ -8,13 +8,15 @@ import jsonschema
 import numpy as np
 import pytest
 
+import meder.model as mm
 import meder.numcore as nc
-from meder.corpus import LabelSet, RawRecord, split_fingerprint
+from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
+from meder.corpus import LabelSet, RawRecord, SplitSpec, load_corpus, split, split_fingerprint
 from meder.errors import DataError, NumericError
 from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.numcore import use_dtype
 from meder.pairseq import PairOrder
-from meder.textprep import PrepConfig, preprocess_text
+from meder.textprep import PrepConfig, preprocess_record, preprocess_text
 from meder.tokenizer import train_vocab
 from meder.trainer import (
     COMPARISON_JSON_SCHEMA,
@@ -328,3 +330,32 @@ def test_predict_rejects_bad_queries():
     with pytest.raises(DataError, match="label set has 3"):
         predict(model, VOCAB, PREP, three, "patient took neomycin", "neomycin",
                 max_len=MAX_LEN)
+
+
+def test_library_full_scale_config_trains_an_epoch_on_the_bundled_sample(monkeypatch):
+    """max_len 484 at batch 32: each block is encoded only up to its
+    longest row, so an epoch costs what the sample's short rows cost.
+    A full-width encode would need gigabytes, so it fails at once."""
+    labels = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
+    splits = split(load_corpus(data_path(SAMPLE_CORPUS_FILE), labels), SplitSpec.default())
+    prep = PrepConfig.default()
+    tokens = []
+    for r in splits[0]:
+        cr = preprocess_record(r, prep, labels)
+        tokens += [list(cr.clean_text), list(cr.clean_entity)]
+    vocab = train_vocab(tokens, target_size=200, min_freq=2)
+    data = prepare_data(splits, labels, prep, vocab, 484)
+    longest = max(p.content_len for split_pairs in (data.train, data.val)
+                  for pair in split_pairs for p in pair)
+    encode = mm.encode
+
+    def bounded_encode(branch, hidden, attention_mask, rng=None):
+        assert attention_mask.shape[1] <= longest
+        return encode(branch, hidden, attention_mask, rng)
+
+    monkeypatch.setattr(mm, "encode", bounded_encode)
+    model = Classifier(ModelConfig(vocab_size=len(vocab), max_len=484,
+                                   n_classes=len(labels)), "ensemble")
+    _, history = train(model, data.train, data.val, TrainConfig(epochs=1))
+    (record,) = history.records
+    assert math.isfinite(record.train_loss) and math.isfinite(record.val_loss)
