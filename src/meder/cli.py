@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands: prepare, stats, vocab, train, eval, predict, compare,
-gradcheck.  Settings resolve in three layers: built-in defaults, then a
---config key=value file, then explicit flags.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 numeric failure.
+Settings resolve in three layers: built-in defaults, then a --config
+key=value file, then explicit flags.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,6 +25,7 @@ from .corpus import (
     LabelSet,
     RawRecord,
     SplitSpec,
+    as_fraction,
     class_stats,
     count_entity_mismatches,
     load_corpus,
@@ -68,43 +67,51 @@ _LABEL_COLUMNS = ("label", "class", "category")
 _ID_COLUMNS = ("id", "sl", "serial")
 
 
+def _setting(default, help_text: str, **cli):
+    """A RunConfig field with its --help text.  `cli` may name its
+    `flag` when that is not --<field-name> and list its `choices`."""
+    return dataclasses.field(default=default, metadata={"help": help_text, **cli})
+
+
 @dataclass
 class RunConfig:
-    """Union of every setting the subcommands consume.
+    """Every setting the subcommands consume, each one flag on every
+    subcommand and one config-file key.
 
     Empty path strings mean "use the bundled sample or the out_dir
-    default".  round-trips losslessly through save/load.
+    default".  A bool field's flag sets it to the opposite of its
+    default.  round-trips losslessly through save/load.
     """
 
-    corpus: str = ""
-    labels: str = ""
-    vocab: str = ""
-    checkpoint: str = ""
-    input: str = ""
-    out_dir: str = "out"
-    seed: int = 42
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-    stratified: bool = True
-    enable_stopwords: bool = True
-    enable_stemming: bool = True
-    max_passes: int = 1
-    target_size: int = 200
-    min_freq: int = 2
-    arm: str = "ensemble"
-    d_model: int = 32
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 64
-    d_hidden: int = 0
-    dropout: float = 0.1
-    lr: float = 2e-4
-    batch_size: int = 32
-    max_len: int = 48
-    epochs: int = 40
-    weight_decay: float = 0.01
-    eval_every: int = 0
-    patience: int = 0
+    corpus: str = _setting("", "corpus JSONL path (default: bundled sample)")
+    labels: str = _setting("", "labels file, one per line (default: bundled sample)")
+    vocab: str = _setting("", "vocabulary file path")
+    checkpoint: str = _setting("", "model checkpoint path")
+    input: str = _setting("", "raw CSV or TSV file for prepare")
+    out_dir: str = _setting("out", "directory for all outputs")
+    seed: int = _setting(42, "global random seed")
+    val_frac: float = _setting(0.1, "validation fraction")
+    test_frac: float = _setting(0.1, "test fraction")
+    stratified: bool = _setting(True, "plain shuffled split", flag="--no-stratify")
+    enable_stopwords: bool = _setting(True, "disable stopword removal", flag="--no-stopwords")
+    enable_stemming: bool = _setting(True, "disable suffix normalization", flag="--no-stemming")
+    max_passes: int = _setting(1, "suffix-stripping passes per word")
+    target_size: int = _setting(200, "vocabulary size target")
+    min_freq: int = _setting(2, "vocabulary minimum frequency")
+    arm: str = _setting("ensemble", "model kind for train and gradcheck", choices=tuple(ARMS))
+    d_model: int = _setting(32, "model width")
+    n_heads: int = _setting(4, "attention heads")
+    n_layers: int = _setting(2, "encoder layers")
+    d_ff: int = _setting(64, "feed-forward width")
+    d_hidden: int = _setting(0, "head hidden width (0 = d_model)")
+    dropout: float = _setting(0.1, "dropout rate")
+    lr: float = _setting(2e-4, "learning rate")
+    batch_size: int = _setting(32, "batch size")
+    max_len: int = _setting(48, "packed sequence length")
+    epochs: int = _setting(40, "training epochs")
+    weight_decay: float = _setting(0.01, "AdamW weight decay")
+    eval_every: int = _setting(0, "steps between mid-epoch validations")
+    patience: int = _setting(0, "early-stop epochs, 0 = off")
 
     def save(self, path: Path) -> None:
         lines = []
@@ -116,27 +123,24 @@ class RunConfig:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _coerce(field: dataclasses.Field, raw: str, where: str):
-    if field.type in ("bool", bool):
-        low = raw.strip().lower()
-        if low not in ("true", "false"):
-            raise DataError(f"{where}: {field.name} must be true or false, got {raw!r}")
-        return low == "true"
-    if field.type in ("int", int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise DataError(f"{where}: {field.name} must be an integer, got {raw!r}") from None
-    if field.type in ("float", float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(f"{where}: {field.name} must be a number, got {raw!r}") from None
-    return raw
+def _true_or_false(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low not in ("true", "false"):
+        raise ValueError(raw)
+    return low == "true"
+
+
+# annotation -> (converter for flag and config values, what a bad config value must be)
+_CONVERTERS = {
+    "str": (str, "text"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_true_or_false, "true or false"),
+}
 
 
 def load_run_config(path: Path, base: RunConfig) -> RunConfig:
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    by_name = {f.name: f for f in dataclasses.fields(RunConfig)}
     updates = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -145,10 +149,14 @@ def load_run_config(path: Path, base: RunConfig) -> RunConfig:
         if "=" not in stripped:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in fields:
+        key, value = key.strip(), value.strip()
+        if key not in by_name:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        updates[key] = _coerce(fields[key], value.strip(), f"{path}:{lineno}")
+        convert, kind = _CONVERTERS[by_name[key].type]
+        try:
+            updates[key] = convert(value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
     return dataclasses.replace(base, **updates)
 
 
@@ -161,73 +169,33 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="meder", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add(name: str, help_text: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__.splitlines()[0])
         p.add_argument("--config", help="key=value settings file")
-        p.add_argument("--corpus", help="corpus JSONL path (default: bundled sample)")
-        p.add_argument("--labels", help="labels file, one per line (default: bundled sample)")
-        p.add_argument("--vocab", help="vocabulary file path")
-        p.add_argument("--checkpoint", help="model checkpoint path")
-        p.add_argument("--out-dir", dest="out_dir", help="directory for all outputs")
-        p.add_argument("--seed", type=int, help="global random seed")
-        p.add_argument("--max-len", dest="max_len", type=int, help="packed sequence length")
-        p.add_argument("--epochs", type=int, help="training epochs")
-        p.add_argument("--batch-size", dest="batch_size", type=int, help="batch size")
-        p.add_argument("--lr", type=float, help="learning rate")
-        p.add_argument("--val-frac", dest="val_frac", type=float, help="validation fraction")
-        p.add_argument("--test-frac", dest="test_frac", type=float, help="test fraction")
-        p.add_argument("--arm", choices=tuple(ARMS), help="model kind for train and gradcheck")
-        p.add_argument("--d-model", dest="d_model", type=int, help="model width")
-        p.add_argument("--n-heads", dest="n_heads", type=int, help="attention heads")
-        p.add_argument("--n-layers", dest="n_layers", type=int, help="encoder layers")
-        p.add_argument("--d-ff", dest="d_ff", type=int, help="feed-forward width")
-        p.add_argument("--d-hidden", dest="d_hidden", type=int, help="head hidden width (0 = d_model)")
-        p.add_argument("--dropout", type=float, help="dropout rate")
-        p.add_argument("--weight-decay", dest="weight_decay", type=float, help="AdamW weight decay")
-        p.add_argument("--eval-every", dest="eval_every", type=int, help="steps between mid-epoch validations")
-        p.add_argument("--patience", type=int, help="early-stop epochs, 0 = off")
-        p.add_argument("--target-size", dest="target_size", type=int, help="vocabulary size target")
-        p.add_argument("--min-freq", dest="min_freq", type=int, help="vocabulary minimum frequency")
-        p.add_argument("--no-stopwords", action="store_true", help="disable stopword removal")
-        p.add_argument("--no-stemming", action="store_true", help="disable suffix normalization")
-        p.add_argument("--no-stratify", action="store_true", help="plain shuffled split")
-        return p
-
-    add("prepare", "convert a CSV/TSV export to canonical JSONL").add_argument(
-        "--input", help="raw CSV or TSV file", default=None
-    )
-    add("stats", "print class counts and split fingerprints")
-    add("vocab", "train and write the subword vocabulary")
-    add("train", "train a model and write checkpoint + history")
-    add("eval", "evaluate a checkpoint on the test split")
-    p_pred = add("predict", "classify one (text, entity) query")
-    p_pred.add_argument("--text", help="statement text")
-    p_pred.add_argument("--entity", help="entity mention to classify")
-    add("compare", "train single and ensemble arms, report deltas")
-    add("gradcheck", "finite-difference check on a tiny model")
+        for f in dataclasses.fields(RunConfig):
+            meta = f.metadata
+            flag = meta.get("flag", "--" + f.name.replace("_", "-"))
+            if f.type == "bool":
+                p.add_argument(flag, dest=f.name, action="store_const",
+                               const=not f.default, help=meta["help"])
+            else:
+                p.add_argument(flag, dest=f.name, type=_CONVERTERS[f.type][0],
+                               choices=meta.get("choices"), help=meta["help"])
+        if cmd is cmd_predict:
+            p.add_argument("--text", help="statement text")
+            p.add_argument("--entity", help="entity mention to classify")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(config: Optional[str], flags: dict) -> RunConfig:
+    """Defaults, then the --config file, then the flags that were given."""
     rc = RunConfig()
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
+    if config:
+        cfg_path = Path(config)
         if not cfg_path.exists():
             raise DataError(f"config file {cfg_path} does not exist")
         rc = load_run_config(cfg_path, rc)
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    if getattr(args, "no_stopwords", False):
-        overrides["enable_stopwords"] = False
-    if getattr(args, "no_stemming", False):
-        overrides["enable_stemming"] = False
-    if getattr(args, "no_stratify", False):
-        overrides["stratified"] = False
-    return dataclasses.replace(rc, **overrides)
+    return dataclasses.replace(rc, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _labels(rc: RunConfig) -> LabelSet:
@@ -263,10 +231,10 @@ def _prep_config(rc: RunConfig) -> PrepConfig:
 
 
 def _split_spec(rc: RunConfig) -> SplitSpec:
-    vf = Fraction(str(rc.val_frac))
-    tf = Fraction(str(rc.test_frac))
+    vf = as_fraction(rc.val_frac)
+    tf = as_fraction(rc.test_frac)
     return SplitSpec(
-        train_frac=Fraction(1) - vf - tf,
+        train_frac=1 - vf - tf,
         val_frac=vf,
         test_frac=tf,
         seed=rc.seed,
@@ -282,17 +250,11 @@ def _checkpoint_path(rc: RunConfig) -> Path:
     return Path(rc.checkpoint) if rc.checkpoint else _out_dir(rc) / "model.ckpt"
 
 
-def _clean_token_lists(records, prep_cfg: PrepConfig, labels: LabelSet) -> list[list[str]]:
-    out = []
+def _train_vocab_for(rc: RunConfig, records, prep_cfg: PrepConfig, labels: LabelSet) -> Vocab:
+    token_lists = []
     for r in records:
         cr = preprocess_record(r, prep_cfg, labels)
-        out.append(list(cr.clean_text))
-        out.append(list(cr.clean_entity))
-    return out
-
-
-def _train_vocab_for(rc: RunConfig, records, prep_cfg, labels) -> Vocab:
-    token_lists = _clean_token_lists(records, prep_cfg, labels)
+        token_lists += [list(cr.clean_text), list(cr.clean_entity)]
     return train_vocab(token_lists, rc.target_size, rc.min_freq)
 
 
@@ -343,6 +305,7 @@ def _find_column(header: Sequence[str], aliases: Sequence[str]) -> Optional[str]
 
 
 def cmd_prepare(rc: RunConfig) -> int:
+    """Convert a CSV/TSV export to canonical JSONL."""
     if not rc.input:
         raise UsageError("prepare requires --input pointing at a CSV or TSV export")
     src = Path(rc.input)
@@ -402,6 +365,8 @@ def cmd_prepare(rc: RunConfig) -> int:
 
 
 def cmd_stats(rc: RunConfig) -> int:
+    """Print class counts and split fingerprints."""
+    spec = _split_spec(rc)
     labels = _labels(rc)
     path = _corpus_path(rc)
     records = load_corpus(path, labels)
@@ -415,7 +380,6 @@ def cmd_stats(rc: RunConfig) -> int:
     note = published_total_note(stats)
     if note:
         print(note)
-    spec = _split_spec(rc)
     parts = split(records, spec)
     print(
         f"split seed={spec.seed} stratified={'true' if spec.stratified else 'false'} "
@@ -427,6 +391,7 @@ def cmd_stats(rc: RunConfig) -> int:
 
 
 def cmd_vocab(rc: RunConfig) -> int:
+    """Train and write the subword vocabulary."""
     labels = _labels(rc)
     records = load_corpus(_corpus_path(rc), labels)
     prep_cfg = _prep_config(rc)
@@ -451,11 +416,13 @@ def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
 
 
 def cmd_train(rc: RunConfig) -> int:
+    """Train a model and write checkpoint + history."""
+    train_cfg = _train_config(rc)
     data, mc = _training_inputs(rc)
     model = Classifier(mc, rc.arm)
     print(f"model: {model.kind} d_model={mc.d_model} n_layers={mc.n_layers} "
           f"n_heads={mc.n_heads} params={count_params(model)}")
-    model, history = train(model, data.train, data.val, _train_config(rc))
+    model, history = train(model, data.train, data.val, train_cfg)
     for rec in history.records:
         print(
             f"epoch {rec.epoch}/{rc.epochs} train_loss={rec.train_loss:.4f} "
@@ -495,6 +462,7 @@ def _trained_artefacts(rc: RunConfig) -> tuple[Classifier, Vocab, LabelSet]:
 
 
 def cmd_eval(rc: RunConfig) -> int:
+    """Evaluate a checkpoint on the test split."""
     model, vocab, labels = _trained_artefacts(rc)
     records = load_corpus(_corpus_path(rc), labels)
     test_records = split(records, _split_spec(rc))[2]
@@ -515,10 +483,9 @@ def cmd_eval(rc: RunConfig) -> int:
 
 
 def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> int:
-    if not text:
-        raise UsageError("predict requires --text")
-    if not entity:
-        raise UsageError("predict requires --entity")
+    """Classify one (text, entity) query."""
+    if not (text and entity):
+        raise UsageError("predict requires --text and --entity")
     model, vocab, labels = _trained_artefacts(rc)
     result = predict(model, vocab, _prep_config(rc), labels, text, entity)
     payload = {
@@ -533,8 +500,10 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
 
 
 def cmd_compare(rc: RunConfig) -> int:
+    """Train single and ensemble arms, report deltas."""
+    train_cfg = _train_config(rc)
     data, mc = _training_inputs(rc)
-    report = compare(mc, data, _train_config(rc))
+    report = compare(mc, data, train_cfg)
     for arm in ("single", "ensemble"):
         a = report.arms[arm]
         print(
@@ -552,6 +521,7 @@ def cmd_compare(rc: RunConfig) -> int:
 
 
 def cmd_gradcheck(rc: RunConfig) -> int:
+    """Finite-difference check on a tiny model."""
     with use_dtype(np.float64):
         cfg = ModelConfig(
             vocab_size=50, max_len=16, d_model=8, n_heads=2, n_layers=1,
@@ -577,28 +547,21 @@ def cmd_gradcheck(rc: RunConfig) -> int:
     return 0 if report.passed else 3
 
 
+COMMANDS = {cmd.__name__.removeprefix("cmd_"): cmd for cmd in (
+    cmd_prepare, cmd_stats, cmd_vocab, cmd_train, cmd_eval, cmd_predict, cmd_compare,
+    cmd_gradcheck,
+)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        rc = _resolve_config(args)
-        if args.command == "prepare":
-            return cmd_prepare(rc)
-        if args.command == "stats":
-            return cmd_stats(rc)
-        if args.command == "vocab":
-            return cmd_vocab(rc)
-        if args.command == "train":
-            return cmd_train(rc)
-        if args.command == "eval":
-            return cmd_eval(rc)
-        if args.command == "predict":
-            return cmd_predict(rc, getattr(args, "text", None), getattr(args, "entity", None))
-        if args.command == "compare":
-            return cmd_compare(rc)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(rc)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = vars(parser.parse_args(argv))
+        cmd = COMMANDS[args.pop("command")]
+        config = args.pop("config")
+        flags = {f.name: args.pop(f.name) for f in dataclasses.fields(RunConfig)}
+        # what is left are the command's own flags (predict's --text, --entity)
+        return cmd(_resolve_config(config, flags), **args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

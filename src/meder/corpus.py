@@ -85,16 +85,16 @@ class LabelSet:
         Path(path).write_text("".join(f"{n}\n" for n in self.names), encoding="utf-8")
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
     """Exact fraction from int/float/str/Fraction; floats go via str()
-    so 0.8 means the decimal 8/10, not its binary approximation."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    so 0.8 means the decimal 8/10, not its binary approximation.  A
+    non-finite or unparseable value is a DataError."""
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
-    if isinstance(value, float):
+    try:
         return Fraction(str(value))
-    return Fraction(str(value))
+    except ValueError:
+        raise DataError(f"split fraction must be a finite number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         for field in ("train_frac", "val_frac", "test_frac"):
-            object.__setattr__(self, field, _as_fraction(getattr(self, field)))
+            object.__setattr__(self, field, as_fraction(getattr(self, field)))
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0 for f in fracs):
             raise DataError(f"split fractions must be non-negative, got {fracs}")

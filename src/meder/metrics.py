@@ -13,14 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import DataError
 
 REPORT_SCHEMA = "meder-metrics-report/1"
-
-# Fractions internally; floats after a JSON round-trip.
-Ratio = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class PerClassScores:
-    precision: tuple[Ratio, ...]
-    recall: tuple[Ratio, ...]
-    f1: tuple[Ratio, ...]
+    precision: tuple[Fraction, ...]
+    recall: tuple[Fraction, ...]
+    f1: tuple[Fraction, ...]
     support: tuple[int, ...]
 
 
@@ -82,14 +79,14 @@ class MetricsReport:
     n_classes: int
     total: int
     per_class: PerClassScores
-    accuracy: Ratio
-    macro_precision: Ratio
-    macro_recall: Ratio
-    macro_f1: Ratio
-    micro_f1: Ratio
-    weighted_precision: Ratio
-    weighted_recall: Ratio
-    weighted_f1: Ratio
+    accuracy: Fraction
+    macro_precision: Fraction
+    macro_recall: Fraction
+    macro_f1: Fraction
+    micro_f1: Fraction
+    weighted_precision: Fraction
+    weighted_recall: Fraction
+    weighted_f1: Fraction
 
 
 def confusion(golds: Sequence[int], preds: Sequence[int], n_classes: int) -> ConfusionMatrix:
@@ -141,10 +138,10 @@ def aggregate(cm: ConfusionMatrix) -> MetricsReport:
     micro_den = sum_tp + Fraction(1, 2) * (sum_fn + sum_fp)
     micro_f1 = sum_tp / micro_den if micro_den else Fraction(0)
 
-    def macro(values: tuple[Ratio, ...]) -> Fraction:
+    def macro(values: tuple[Fraction, ...]) -> Fraction:
         return Fraction(sum(values), k)
 
-    def weighted(values: tuple[Ratio, ...]) -> Fraction:
+    def weighted(values: tuple[Fraction, ...]) -> Fraction:
         return sum((Fraction(s, n) * v for s, v in zip(pc.support, values)), Fraction(0))
 
     return MetricsReport(
@@ -173,7 +170,7 @@ class RenderedReport:
     confusion_csv: str
 
 
-def _pct(value: Ratio) -> str:
+def _pct(value: Fraction) -> str:
     return f"{float(value) * 100:.2f}"
 
 
@@ -245,32 +242,3 @@ def report_to_json(report: MetricsReport, labels: Sequence[str]) -> str:
         ],
     }
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> tuple[MetricsReport, list[str]]:
-    """Parse a report JSON document back into a MetricsReport (float-valued)."""
-    doc = json.loads(text)
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise DataError(f"unsupported report schema: {doc.get('schema')!r}")
-    labels = [str(x) for x in doc["labels"]]
-    per = doc["per_class"]
-    pc = PerClassScores(
-        precision=tuple(row["precision"] for row in per),
-        recall=tuple(row["recall"] for row in per),
-        f1=tuple(row["f1"] for row in per),
-        support=tuple(int(row["support"]) for row in per),
-    )
-    report = MetricsReport(
-        n_classes=len(labels),
-        total=int(doc["total"]),
-        per_class=pc,
-        accuracy=doc["accuracy"],
-        macro_precision=doc["macro"]["precision"],
-        macro_recall=doc["macro"]["recall"],
-        macro_f1=doc["macro"]["f1"],
-        micro_f1=doc["micro_f1"],
-        weighted_precision=doc["weighted"]["precision"],
-        weighted_recall=doc["weighted"]["recall"],
-        weighted_f1=doc["weighted"]["f1"],
-    )
-    return report, labels

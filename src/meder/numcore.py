@@ -27,7 +27,6 @@ GELU_K1 = 0.044715
 
 LAYER_NORM_EPS = 1e-5
 MASK_FILL_VALUE = -1e9
-PROB_ROW_SUM_TOL = 1e-5
 
 _default_dtype = np.dtype(np.float32)
 
@@ -340,12 +339,8 @@ def total_sum(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, from_logits: bool = True) -> Tensor:
-    """Mean negative log likelihood over a batch.
-
-    `logits` is [B, C]; in probability mode rows must sum to 1 within
-    1e-5 and are clipped away from zero before the log.
-    """
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log likelihood of `labels` under softmax([B, C] logits)."""
     labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [batch, classes] logits, got {logits.data.shape}")
@@ -355,32 +350,17 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, from_logits: bool = True) 
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise NumericError(f"cross_entropy: label out of range [0, {c})")
 
-    if from_logits:
-        m = logits.data.max(axis=-1, keepdims=True)
-        e = np.exp(logits.data - m)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        logp = (logits.data - m) - np.log(e.sum(axis=-1, keepdims=True))
-    else:
-        sums = logits.data.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > PROB_ROW_SUM_TOL):
-            raise NumericError(
-                f"cross_entropy probabilities must row-sum to 1 within {PROB_ROW_SUM_TOL}, "
-                f"worst row sums to {sums[np.argmax(np.abs(sums - 1.0))]:.8f}"
-            )
-        probs = logits.data
-        logp = np.log(np.clip(probs, 1e-12, None))
+    m = logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(logits.data - m)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    logp = (logits.data - m) - np.log(e.sum(axis=-1, keepdims=True))
     picked = logp[np.arange(n), labels]
     data = np.asarray(-picked.mean())
 
     def backward(g: np.ndarray) -> None:
-        if from_logits:
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            logits.grad += grad * (g / n)
-        else:
-            grad = np.zeros_like(probs)
-            grad[np.arange(n), labels] = -1.0 / np.clip(probs[np.arange(n), labels], 1e-12, None)
-            logits.grad += grad * (g / n)
+        grad = probs.copy()
+        grad[np.arange(n), labels] -= 1.0
+        logits.grad += grad * (g / n)
 
     return _node(data, (logits,), backward)
 

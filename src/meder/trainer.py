@@ -37,16 +37,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # learning_rate 0 is allowed as a degenerate diagnostic setting
-        if self.learning_rate < 0:
-            raise DataError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be finite and non-negative, got {value}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise DataError(f"epochs must be at least 1, got {self.epochs}")
         if self.max_len < 5:
             raise DataError(f"max_len must be at least 5, got {self.max_len}")
-        if self.weight_decay < 0:
-            raise DataError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.eval_every < 0 or self.patience < 0:
             raise DataError("eval_every and patience must be non-negative")
 

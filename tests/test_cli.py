@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, config layering, and the end-to-end flow."""
 
+import dataclasses
 import json
 import re
 
@@ -7,7 +8,7 @@ import jsonschema
 import pytest
 
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
-from meder.cli import RunConfig, load_run_config, main
+from meder.cli import COMMANDS, RunConfig, _build_parser, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
 from meder.model import Classifier, ModelConfig, save_checkpoint
 from meder.tokenizer import load_vocab
@@ -66,11 +67,17 @@ def test_data_errors_exit_2(tmp_path, capsys):
 
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"Disease\n\xe9\n")
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("val_frac=nan\n", encoding="utf-8")
     for argv in (
         ["stats", "--corpus", str(tmp_path)],
         ["stats", "--config", str(tmp_path)],
         ["stats", "--labels", str(not_utf8)],
         ["train", "--out-dir", str(tmp_path / "out"), "--vocab", str(not_utf8)],
+        ["stats", "--val-frac", "nan"],
+        ["stats", "--test-frac", "inf"],
+        ["stats", "--val-frac", "1e400"],
+        ["stats", "--config", str(nan_cfg)],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -266,3 +273,78 @@ def test_compare_writes_a_valid_report(tmp_path, capsys):
     assert "delta (ensemble - single): accuracy=" in text_out
     payload = json.loads((tmp_path / "out" / "comparison.json").read_text(encoding="utf-8"))
     jsonschema.validate(payload, COMPARISON_JSON_SCHEMA)
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("setting", ["--lr=nan", "--weight-decay=inf", "--epochs=0",
+                                     "--batch-size=0"])
+def test_bad_training_settings_exit_2_before_any_work(tmp_path, capsys, command, setting):
+    out = tmp_path / "out"
+    code, text_out, err = run(capsys, command, "--out-dir", str(out), setting)
+    assert code == 2
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert text_out == ""
+    assert not (out / "vocab.txt").exists()
+
+
+# Every run setting, in RunConfig order.  Each is the flag --<name with
+# dashes> on every subcommand, except the three bools below, whose flag
+# turns them off.
+SETTINGS = (
+    "corpus", "labels", "vocab", "checkpoint", "input", "out_dir", "seed", "val_frac",
+    "test_frac", "stratified", "enable_stopwords", "enable_stemming", "max_passes",
+    "target_size", "min_freq", "arm", "d_model", "n_heads", "n_layers", "d_ff", "d_hidden",
+    "dropout", "lr", "batch_size", "max_len", "epochs", "weight_decay", "eval_every",
+    "patience",
+)
+OFF_FLAGS = {"stratified": "--no-stratify", "enable_stopwords": "--no-stopwords",
+             "enable_stemming": "--no-stemming"}
+
+
+@pytest.mark.parametrize("name", SETTINGS)
+def test_every_setting_is_a_flag_on_every_command_and_a_config_key(tmp_path, name):
+    assert [f.name for f in dataclasses.fields(RunConfig)] == list(SETTINGS)
+    default = getattr(RunConfig(), name)
+    if name == "arm":
+        value = "single"
+    elif isinstance(default, bool):
+        value = not default
+    elif isinstance(default, int):
+        value = default + 1
+    elif isinstance(default, float):
+        value = default / 2
+    else:
+        value = "x"
+    assert value != default
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    argv = [OFF_FLAGS[name]] if name in OFF_FLAGS else ["--" + name.replace("_", "-"), text]
+
+    for command in COMMANDS:
+        assert getattr(_build_parser().parse_args([command, *argv]), name) == value, command
+
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name}={text}\n", encoding="utf-8")
+    assert getattr(load_run_config(path, RunConfig()), name) == value
+    changed = RunConfig(**{name: value})
+    changed.save(path)
+    assert load_run_config(path, RunConfig()) == changed
+
+
+def test_predict_accepts_the_benchmark_cold_predict_argv(tmp_path, capsys):
+    """The exact flags the benchmark's cold predict process passes."""
+    work = tmp_path / "work"
+    code, _, _ = run(capsys, "vocab", "--out-dir", str(work))
+    assert code == 0
+    vocab_path, ckpt, labels_path = work / "vocab.txt", work / "cold.ckpt", work / "labels.txt"
+    cfg = ModelConfig(vocab_size=len(load_vocab(vocab_path)), max_len=48, d_model=8,
+                      n_heads=2, n_layers=1, d_ff=16, n_classes=len(LABELS))
+    save_checkpoint(Classifier(cfg, "ensemble"), ckpt)
+    LABELS.to_file(labels_path)
+    record = load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)[0]
+    code, text_out, err = run(
+        capsys, "predict",
+        "--checkpoint", str(ckpt), "--vocab", str(vocab_path), "--labels", str(labels_path),
+        "--out-dir", str(work), "--text", record.text, "--entity", record.entity,
+    )
+    assert code == 0, err
+    assert set(json.loads(text_out)["probabilities"]) == set(LABELS.names)

@@ -141,6 +141,9 @@ def test_split_spec_validation():
         SplitSpec(Fraction(11, 10), Fraction(-1, 10), 0)
     with pytest.raises(DataError, match="sum to exactly 1"):
         SplitSpec(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    for bad in (float("nan"), float("inf"), "nan"):
+        with pytest.raises(DataError, match="finite number"):
+            SplitSpec(0.8, bad, 0.1)
     spec = SplitSpec(0.8, 0.1, 0.1)
     assert spec.val_frac == Fraction(1, 10)
     assert SplitSpec.default().seed == 42

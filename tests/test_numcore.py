@@ -117,9 +117,6 @@ def test_cross_entropy_uniform_is_log_n_classes():
         loss = cross_entropy(logits, np.array([0, 5]))
         assert abs(float(loss.data) - math.log(6.0)) < 1e-12
         assert abs(float(loss.data) - 1.791759) < 1e-6
-        probs = Tensor(np.full((1, 6), 1 / 6))
-        loss_p = cross_entropy(probs, np.array([3]), from_logits=False)
-        assert abs(float(loss_p.data) - math.log(6.0)) < 1e-9
 
 
 def test_cross_entropy_validation():
@@ -128,9 +125,6 @@ def test_cross_entropy_validation():
             cross_entropy(Tensor(np.zeros(6)), np.array([0]))
         with pytest.raises(NumericError, match="label out of range"):
             cross_entropy(Tensor(np.zeros((1, 6))), np.array([6]))
-        bad_rows = Tensor(np.full((1, 6), 0.5))
-        with pytest.raises(NumericError, match="row-sum to 1"):
-            cross_entropy(bad_rows, np.array([0]), from_logits=False)
 
 
 def test_backward_linear_case():

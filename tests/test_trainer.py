@@ -82,6 +82,8 @@ def small_train_config(**overrides) -> TrainConfig:
     dict(weight_decay=-0.1),
     dict(eval_every=-1),
     dict(patience=-1),
+    dict(learning_rate=float("nan")),
+    dict(weight_decay=float("inf")),
 ])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(DataError):
