@@ -2,7 +2,7 @@
 
 Settings resolve in three layers: built-in defaults, then a --config
 key=value file, then explicit flags.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric failure.
+error, 2 data error, 3 numeric failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +47,8 @@ from .model import (
 )
 from .numcore import cross_entropy, grad_check, use_dtype
 from .pairseq import batchify, build_both
-from .textprep import PrepConfig, preprocess_record
-from .tokenizer import Vocab, load_vocab, save_vocab, train_vocab
+from .textprep import PrepConfig, preprocess_record, preprocess_text
+from .tokenizer import SPECIALS, Vocab, load_vocab, save_vocab, train_vocab
 from .trainer import (
     PreparedData,
     TrainConfig,
@@ -250,21 +250,22 @@ def _checkpoint_path(rc: RunConfig) -> Path:
     return Path(rc.checkpoint) if rc.checkpoint else _out_dir(rc) / "model.ckpt"
 
 
-def _train_vocab_for(rc: RunConfig, records, prep_cfg: PrepConfig, labels: LabelSet) -> Vocab:
+def _read_vocab(path: Path) -> Vocab:
+    if not path.exists():
+        raise DataError(f"vocab file {path} does not exist")
+    return load_vocab(path)
+
+
+def _induce_vocab(rc: RunConfig, records, prep_cfg: PrepConfig, labels: LabelSet) -> Vocab:
+    """Train the vocabulary on `records` and write it to the vocab path."""
     token_lists = []
     for r in records:
         cr = preprocess_record(r, prep_cfg, labels)
         token_lists += [list(cr.clean_text), list(cr.clean_entity)]
-    return train_vocab(token_lists, rc.target_size, rc.min_freq)
-
-
-def _load_or_train_vocab(rc: RunConfig, train_records, prep_cfg, labels) -> Vocab:
+    vocab = train_vocab(token_lists, rc.target_size, rc.min_freq)
     path = _vocab_path(rc)
-    if path.exists():
-        return load_vocab(path)
-    vocab = _train_vocab_for(rc, train_records, prep_cfg, labels)
     save_vocab(vocab, path)
-    print(f"vocab: trained {len(vocab)} tokens -> {path}")
+    print(f"vocab: {len(vocab)} tokens (target {rc.target_size}, min_freq {rc.min_freq}) -> {path}")
     return vocab
 
 
@@ -312,6 +313,7 @@ def cmd_prepare(rc: RunConfig) -> int:
     if not src.exists():
         raise DataError(f"input file {src} does not exist")
     labels = _labels(rc)
+    prep_cfg = _prep_config(rc)
     delimiter = "\t" if src.suffix.lower() in (".tsv", ".tab") else ","
     kept: list[RawRecord] = []
     dropped: Counter = Counter()
@@ -337,10 +339,10 @@ def cmd_prepare(rc: RunConfig) -> int:
             text = (row.get(text_col) or "").strip()
             entity = (row.get(entity_col) or "").strip()
             label = (row.get(label_col) or "").strip()
-            if not unicodedata.normalize("NFC", text).strip():
+            if not preprocess_text(text, prep_cfg):
                 dropped["empty text"] += 1
                 continue
-            if not unicodedata.normalize("NFC", entity).strip():
+            if not preprocess_text(entity, prep_cfg):
                 dropped["empty entity"] += 1
                 continue
             if label not in labels.index:
@@ -394,25 +396,26 @@ def cmd_vocab(rc: RunConfig) -> int:
     """Train and write the subword vocabulary."""
     labels = _labels(rc)
     records = load_corpus(_corpus_path(rc), labels)
-    prep_cfg = _prep_config(rc)
-    train_records = split(records, _split_spec(rc))[0]
-    vocab = _train_vocab_for(rc, train_records, prep_cfg, labels)
-    path = _vocab_path(rc)
-    save_vocab(vocab, path)
-    print(f"vocab: {len(vocab)} tokens (target {rc.target_size}, min_freq {rc.min_freq}) -> {path}")
+    _induce_vocab(rc, split(records, _split_spec(rc))[0], _prep_config(rc), labels)
     return 0
 
 
 def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
-    """Load and split the corpus, load or train the vocab, pack every
+    """Check the model settings, load and split the corpus, read the
+    vocab --vocab names or induce one from the train split, pack every
     split and size the model config to the vocab and label set."""
     labels = _labels(rc)
+    # a bad model setting fails before any work; the vocab size comes last
+    mc = _model_config(rc, len(SPECIALS), len(labels))
     records = load_corpus(_corpus_path(rc), labels)
     prep_cfg = _prep_config(rc)
     splits = split(records, _split_spec(rc))
-    vocab = _load_or_train_vocab(rc, splits[0], prep_cfg, labels)
+    if rc.vocab:
+        vocab = _read_vocab(Path(rc.vocab))
+    else:
+        vocab = _induce_vocab(rc, splits[0], prep_cfg, labels)
     data = prepare_data(splits, labels, prep_cfg, vocab, rc.max_len)
-    return data, _model_config(rc, len(vocab), len(labels))
+    return data, dataclasses.replace(mc, vocab_size=len(vocab))
 
 
 def cmd_train(rc: RunConfig) -> int:
@@ -449,10 +452,7 @@ def _trained_artefacts(rc: RunConfig) -> tuple[Classifier, Vocab, LabelSet]:
     if not ckpt.exists():
         raise DataError(f"checkpoint {ckpt} does not exist; run `meder train` first")
     model = load_checkpoint(ckpt)
-    vocab_path = _vocab_path(rc)
-    if not vocab_path.exists():
-        raise DataError(f"vocab file {vocab_path} does not exist")
-    vocab = load_vocab(vocab_path)
+    vocab = _read_vocab(_vocab_path(rc))
     cfg = model.config
     for what, have, want in (("vocab", len(vocab), cfg.vocab_size),
                              ("labels", len(labels), cfg.n_classes)):
@@ -561,7 +561,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = args.pop("config")
         flags = {f.name: args.pop(f.name) for f in dataclasses.fields(RunConfig)}
         # what is left are the command's own flags (predict's --text, --entity)
-        return cmd(_resolve_config(config, flags), **args)
+        code = cmd(_resolve_config(config, flags), **args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`meder train | head`): not a data error.
+        # Point stdout at os.devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -22,11 +22,7 @@ REPORT_SCHEMA = "meder-metrics-report/1"
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Square matrix of counts[actual][predicted].
-
-    For class i: TP_i = counts[i][i], FP_i = column i sum - TP_i,
-    FN_i = row i sum - TP_i, TN_i = total - TP_i - FP_i - FN_i.
-    """
+    """Square matrix of counts[actual][predicted]."""
 
     counts: tuple[tuple[int, ...], ...]
 
@@ -46,24 +42,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.counts[i])
-
-    def col_sum(self, i: int) -> int:
-        return sum(row[i] for row in self.counts)
-
-    def tp(self, i: int) -> int:
-        return self.counts[i][i]
-
-    def fp(self, i: int) -> int:
-        return self.col_sum(i) - self.tp(i)
-
-    def fn(self, i: int) -> int:
-        return self.row_sum(i) - self.tp(i)
-
-    def tn(self, i: int) -> int:
-        return self.total - self.tp(i) - self.fp(i) - self.fn(i)
 
 
 @dataclass(frozen=True)
@@ -108,18 +86,20 @@ def _ratio(num: int, den: int) -> Fraction:
 
 
 def per_class(cm: ConfusionMatrix) -> PerClassScores:
-    """Per-class precision, recall, F1 and support, all exact."""
-    precisions, recalls, f1s, supports = [], [], [], []
+    """Per-class precision, recall, F1 and support, all exact.  Class i's
+    TP is counts[i][i], TP + FP its column sum and TP + FN its row sum."""
+    precisions, recalls, f1s = [], [], []
+    supports = tuple(sum(row) for row in cm.counts)
+    predicted = [sum(col) for col in zip(*cm.counts)]
     for i in range(cm.n_classes):
-        tp = cm.tp(i)
-        p = _ratio(tp, tp + cm.fp(i))
-        r = _ratio(tp, tp + cm.fn(i))
+        tp = cm.counts[i][i]
+        p = _ratio(tp, predicted[i])
+        r = _ratio(tp, supports[i])
         f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
         precisions.append(p)
         recalls.append(r)
         f1s.append(f1)
-        supports.append(cm.row_sum(i))
-    return PerClassScores(tuple(precisions), tuple(recalls), tuple(f1s), tuple(supports))
+    return PerClassScores(tuple(precisions), tuple(recalls), tuple(f1s), supports)
 
 
 def aggregate(cm: ConfusionMatrix) -> MetricsReport:
@@ -129,9 +109,9 @@ def aggregate(cm: ConfusionMatrix) -> MetricsReport:
         raise DataError("cannot aggregate metrics over an empty confusion matrix")
     pc = per_class(cm)
     k = cm.n_classes
-    sum_tp = sum(cm.tp(i) for i in range(k))
-    sum_fp = sum(cm.fp(i) for i in range(k))
-    sum_fn = sum(cm.fn(i) for i in range(k))
+    sum_tp = sum(cm.counts[i][i] for i in range(k))
+    sum_fp = sum(sum(col) - col[i] for i, col in enumerate(zip(*cm.counts)))
+    sum_fn = sum(sum(row) - row[i] for i, row in enumerate(cm.counts))
 
     accuracy = Fraction(sum_tp, n)
     # micro F1 pools the per-class counts before forming the ratio
@@ -211,10 +191,10 @@ def render(cm: ConfusionMatrix, labels: Sequence[str]) -> RenderedReport:
     return RenderedReport(table_text, report_json, confusion_csv)
 
 
-def report_to_json(report: MetricsReport, labels: Sequence[str]) -> str:
-    """Serialize deterministically; Fractions become 64-bit floats here."""
+def report_data(report: MetricsReport, labels: Sequence[str]) -> dict:
+    """The report as plain JSON data; Fractions become 64-bit floats here."""
     pc = report.per_class
-    doc = {
+    return {
         "schema": REPORT_SCHEMA,
         "labels": list(labels),
         "total": report.total,
@@ -241,4 +221,9 @@ def report_to_json(report: MetricsReport, labels: Sequence[str]) -> str:
             for i, lab in enumerate(labels)
         ],
     }
+
+
+def report_to_json(report: MetricsReport, labels: Sequence[str]) -> str:
+    """Serialize `report_data` deterministically."""
+    doc = report_data(report, labels)
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"

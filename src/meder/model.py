@@ -21,7 +21,7 @@ import numpy as np
 from . import numcore as nc
 from .errors import DataError, ShapeError
 from .numcore import Tensor
-from .pairseq import BatchBlock, EncodedPair, PairBatch, PairOrder
+from .pairseq import BatchBlock, EncodedPair, PairBatch, PairOrder, block
 
 INIT_STD = 0.02
 CHECKPOINT_MAGIC = b"MEDER1\n"
@@ -314,15 +314,7 @@ def forward_pairs(
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Logits [n_classes] for one observation, one packed pair per branch."""
-    blocks = [
-        BatchBlock(
-            input_ids=np.array([p.input_ids], dtype=np.int64),
-            segment_ids=np.array([p.segment_ids], dtype=np.int64),
-            attention_mask=np.array([p.attention_mask], dtype=np.int64),
-            order=p.order,
-        )
-        for p in pairs
-    ]
+    blocks = [block([p]) for p in pairs]
     return nc.reshape(_forward(model, blocks, rng), (model.config.n_classes,))
 
 

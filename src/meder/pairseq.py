@@ -145,7 +145,8 @@ class PairBatch:
         return int(self.labels.shape[0])
 
 
-def _block(pairs: Sequence[EncodedPair]) -> BatchBlock:
+def block(pairs: Sequence[EncodedPair]) -> BatchBlock:
+    """Stack one branch's pairs, all of one order, into its arrays."""
     orders = {p.order for p in pairs}
     if len(orders) != 1:
         raise DataError(f"batch mixes pair orders: {sorted(o.value for o in orders)}")
@@ -176,8 +177,8 @@ def batchify(
                     f"pair elements disagree on length: {len(a.input_ids)} vs {len(b.input_ids)}"
                 )
         batches.append(PairBatch(
-            first=_block([a for a, _ in chunk]),
-            second=_block([b for _, b in chunk]),
+            first=block([a for a, _ in chunk]),
+            second=block([b for _, b in chunk]),
             labels=np.array([a.label_id for a, _ in chunk], dtype=np.int64),
         ))
     return batches

@@ -12,9 +12,9 @@ import numpy as np
 
 from .corpus import LabelSet, RawRecord, split_fingerprint
 from .errors import DataError, NumericError
-from .metrics import MetricsReport, aggregate, confusion
+from .metrics import MetricsReport, aggregate, confusion, report_data
 from .model import ARMS, Classifier, ModelConfig, forward_batch, forward_ensemble, forward_single
-from .numcore import Tensor, backward, cross_entropy
+from .numcore import Tensor, backward, cross_entropy, row_softmax
 from .pairseq import EncodedPair, PairBatch, batchify, build_both, build_pair
 from .textprep import PrepConfig, preprocess_record, preprocess_text
 from .tokenizer import Vocab, encode_text
@@ -344,23 +344,14 @@ class ComparisonReport:
 
 
 def _arm_summary(report: MetricsReport, labels: Sequence[str], epochs: int) -> dict:
-    pc = report.per_class
-    per_class = []
-    for i, name in enumerate(labels):
-        per_class.append({
-            "label": name,
-            "precision": float(pc.precision[i]),
-            "recall": float(pc.recall[i]),
-            "f1": float(pc.f1[i]),
-            "support": pc.support[i],
-        })
+    data = report_data(report, labels)
     return {
-        "accuracy": float(report.accuracy),
-        "micro_f1": float(report.micro_f1),
-        "macro_f1": float(report.macro_f1),
-        "weighted_f1": float(report.weighted_f1),
+        "accuracy": data["accuracy"],
+        "micro_f1": data["micro_f1"],
+        "macro_f1": data["macro"]["f1"],
+        "weighted_f1": data["weighted"]["f1"],
         "epochs_trained": epochs,
-        "per_class": per_class,
+        "per_class": data["per_class"],
     }
 
 
@@ -416,10 +407,7 @@ def predict(
     pairs = [build_pair(text_ids, entity_ids, o, max_len, label_id=0) for o in model.orders]
     # bench/tracer.py times predict's forward under these two names
     forward_one = forward_single if len(pairs) == 1 else forward_ensemble
-    logits = forward_one(model, *pairs, rng=None)
-    z = logits.data - logits.data.max()
-    e = np.exp(z)
-    probs = e / e.sum()
+    probs = row_softmax(forward_one(model, *pairs, rng=None)).data
     label_id = int(probs.argmax())
     return PredictResult(
         label=labels.names[label_id],

@@ -32,7 +32,7 @@ from meder.corpus import (
     split,
 )
 from meder.metrics import aggregate, confusion
-from meder.model import Classifier, ModelConfig, forward_batch, forward_ensemble, forward_single
+from meder.model import Classifier, ModelConfig, forward_batch, forward_pairs
 from meder.numcore import cross_entropy, grad_check, use_dtype
 from meder.pairseq import PairOrder, batchify, build_both, build_pair
 from meder.textprep import PrepConfig, preprocess_record
@@ -181,12 +181,12 @@ def test_criterion_05_padding_never_moves_logits():
         w1, w2 = _pad_extend(p1, 4), _pad_extend(p2, 4)
         if i % 2 == 0:
             model = Classifier(cfg, "ensemble")
-            base = forward_ensemble(model, p1, p2).data
-            wide = forward_ensemble(model, w1, w2).data
+            base = forward_pairs(model, (p1, p2)).data
+            wide = forward_pairs(model, (w1, w2)).data
         else:
             model = Classifier(cfg, "single")
-            base = forward_single(model, p1).data
-            wide = forward_single(model, w1).data
+            base = forward_pairs(model, (p1,)).data
+            wide = forward_pairs(model, (w1,)).data
         worst = max(worst, float(np.abs(base - wide).max()))
     elapsed = time.monotonic() - start
     assert worst < 1e-5, f"padding moved logits by {worst:.2e}"
@@ -216,8 +216,8 @@ def test_criterion_06_ensemble_swap_symmetry():
         entity = rng.integers(4, 30, size=int(rng.integers(1, 4))).tolist()
         p1, p2 = build_both(text, entity, max_len=16)
         q1, q2 = build_both(entity, text, max_len=16)
-        base = forward_ensemble(m1, p1, p2).data
-        swapped = forward_ensemble(m2, q1, q2).data
+        base = forward_pairs(m1, (p1, p2)).data
+        swapped = forward_pairs(m2, (q1, q2)).data
         worst = max(worst, float(np.abs(base - swapped).max()))
     assert worst < 1e-6, f"swap symmetry broke by {worst:.2e}"
 
@@ -270,8 +270,7 @@ def test_criterion_08_ensemble_learns_the_synthetic_task():
     model_cfg = ModelConfig(vocab_size=len(vocab), max_len=32, d_model=32,
                             n_heads=4, n_layers=2, d_ff=64,
                             n_classes=len(labels), dropout_rate=0.1, seed=42)
-    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_len=32,
-                            epochs=200, seed=42)
+    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=200, seed=42)
 
     def run():
         model = Classifier(model_cfg, "ensemble")
@@ -292,8 +291,7 @@ def test_criterion_09_comparison_harness_is_consistent():
     model_cfg = ModelConfig(vocab_size=len(vocab), max_len=32, d_model=8,
                             n_heads=2, n_layers=1, d_ff=16,
                             n_classes=len(labels), dropout_rate=0.0, seed=42)
-    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_len=32,
-                            epochs=2, seed=42)
+    train_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2, seed=42)
     report = compare(model_cfg, data, train_cfg)
 
     assert report.fingerprints == data.fingerprints

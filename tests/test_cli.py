@@ -1,16 +1,24 @@
 """Command-line tests: exit codes, config layering, and the end-to-end flow."""
 
+import csv
 import dataclasses
+import errno
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import meder
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
 from meder.cli import COMMANDS, RunConfig, _build_parser, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
-from meder.model import Classifier, ModelConfig, save_checkpoint
+from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.tokenizer import load_vocab
 from meder.trainer import COMPARISON_JSON_SCHEMA
 
@@ -193,6 +201,30 @@ def test_prepare_handles_tsv_and_bad_inputs(tmp_path, capsys):
     assert code == 2 and "no usable rows" in err
 
 
+def test_prepare_keeps_only_rows_that_survive_preprocessing(tmp_path, capsys):
+    """A row whose text or entity preprocesses to nothing is dropped, so
+    `train` accepts everything `prepare` keeps."""
+    src = tmp_path / "export.csv"
+    with src.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id", "text", "entity", "label"])
+        records = load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)
+        for r in records:
+            writer.writerow([r.id, r.text, r.entity, r.label])
+        writer.writerow(["x1", "।।।", records[0].entity, records[0].label])
+        writer.writerow(["x2", records[0].text, "এবং", records[0].label])
+    out = tmp_path / "out"
+    code, text_out, _ = run(capsys, "prepare", "--input", str(src), "--out-dir", str(out))
+    assert code == 0
+    assert f"kept {len(records)} records" in text_out
+    assert "dropped 1: empty text" in text_out
+    assert "dropped 1: empty entity" in text_out
+
+    code, _, err = run(capsys, "train", "--corpus", str(out / "corpus.jsonl"),
+                       "--out-dir", str(out), *SMALL)
+    assert code == 0, err
+
+
 SMALL = ("--max-len", "32", "--d-model", "8", "--n-heads", "2", "--n-layers", "1",
          "--d-ff", "16", "--epochs", "1", "--batch-size", "16", "--lr", "1e-3",
          "--target-size", "200", "--min-freq", "2")
@@ -236,6 +268,34 @@ def test_train_eval_predict_flow(tmp_path, capsys):
     assert code == 1 and "unrecognized arguments: --order" in err
 
 
+def test_train_induces_its_vocab_unless_vocab_names_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "vocab", "--out-dir", str(out), "--target-size", "150")
+    assert code == 0
+    named = tmp_path / "vocab150.txt"
+    shutil.copy(out / "vocab.txt", named)
+
+    # a vocab.txt left in --out-dir is not reused: train induces its own
+    code, text_out, _ = run(capsys, "train", "--out-dir", str(out), *SMALL, "--target-size", "300")
+    assert code == 0
+    assert "vocab: 300 tokens (target 300, min_freq 2)" in text_out
+    assert len(load_vocab(out / "vocab.txt")) == 300
+    assert load_checkpoint(out / "model.ckpt").config.vocab_size == 300
+
+    code, text_out, _ = run(capsys, "train", "--out-dir", str(out), *SMALL, "--vocab", str(named))
+    assert code == 0
+    assert "vocab:" not in text_out
+    assert load_checkpoint(out / "model.ckpt").config.vocab_size == 150
+
+    fresh = tmp_path / "fresh"
+    code, text_out, err = run(capsys, "train", "--out-dir", str(fresh), *SMALL,
+                              "--vocab", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert err.startswith("data error:") and "missing.txt does not exist" in err
+    assert text_out == ""
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("vocab_size", [300, 150])
 def test_predict_with_a_vocab_larger_than_the_checkpoint_exits_2(tmp_path, capsys, vocab_size):
     """Any vocab whose size differs from the checkpoint's is refused
@@ -277,7 +337,7 @@ def test_compare_writes_a_valid_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("setting", ["--lr=nan", "--weight-decay=inf", "--epochs=0",
-                                     "--batch-size=0"])
+                                     "--batch-size=0", "--d-model=30"])
 def test_bad_training_settings_exit_2_before_any_work(tmp_path, capsys, command, setting):
     out = tmp_path / "out"
     code, text_out, err = run(capsys, command, "--out-dir", str(out), setting)
@@ -348,3 +408,44 @@ def test_predict_accepts_the_benchmark_cold_predict_argv(tmp_path, capsys):
     )
     assert code == 0, err
     assert set(json.loads(text_out)["probabilities"]) == set(LABELS.names)
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_141_without_a_data_error(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        code = main(["stats"])
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_process_with_141_and_no_message():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(meder.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "meder.cli", "stats"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""

@@ -23,8 +23,7 @@ from meder.model import (
     encode,
     encode_cls,
     forward_batch,
-    forward_ensemble,
-    forward_single,
+    forward_pairs,
     load_checkpoint,
     save_checkpoint,
     trunc_normal,
@@ -200,7 +199,7 @@ def test_extra_padding_leaves_logits_unchanged():
         cfg = toy_config(max_len=16)
         model = Classifier(cfg, "ensemble")
         p1, p2 = build_both([5, 6, 7, 8, 9], [10, 11], max_len=12, label_id=0)
-        base = forward_ensemble(model, p1, p2).data
+        base = forward_pairs(model, (p1, p2)).data
         widened = tuple(
             dataclasses.replace(
                 p,
@@ -210,7 +209,7 @@ def test_extra_padding_leaves_logits_unchanged():
             )
             for p in (p1, p2)
         )
-        wide = forward_ensemble(model, *widened).data
+        wide = forward_pairs(model, widened).data
     assert np.abs(base - wide).max() < 1e-8
 
 
@@ -234,8 +233,8 @@ def test_swapping_branches_and_head_columns_swaps_the_orders():
         text, entity = [5, 6, 7, 8], [10, 11]
         p1, p2 = build_both(text, entity, max_len=12)
         q1, q2 = build_both(entity, text, max_len=12)
-        base = forward_ensemble(m1, p1, p2).data
-        swapped = forward_ensemble(m2, q1, q2).data
+        base = forward_pairs(m1, (p1, p2)).data
+        swapped = forward_pairs(m2, (q1, q2)).data
     assert np.abs(base - swapped).max() < 1e-8
 
 
@@ -246,8 +245,8 @@ def test_blocked_head_rows_make_logits_ignore_second_branch():
         model.head["w1"].data[cfg.d_model:, :] = 0.0
         p1, p2 = build_both([5, 6, 7], [10, 11], max_len=12)
         _, other = build_both([17, 18, 19], [12, 13, 14], max_len=12)
-        a = forward_ensemble(model, p1, p2).data
-        b = forward_ensemble(model, p1, other).data
+        a = forward_pairs(model, (p1, p2)).data
+        b = forward_pairs(model, (p1, other)).data
     assert np.array_equal(a, b)
 
 
@@ -362,8 +361,8 @@ def test_ensemble_forward_requires_both_orders():
 def test_single_pair_forwards_return_class_vectors():
     cfg = toy_config()
     p1, p2 = build_both([5, 6], [10], max_len=12, label_id=2)
-    assert forward_single(Classifier(cfg, "single"), p1).data.shape == (6,)
-    assert forward_ensemble(Classifier(cfg, "ensemble"), p1, p2).data.shape == (6,)
+    assert forward_pairs(Classifier(cfg, "single"), (p1,)).data.shape == (6,)
+    assert forward_pairs(Classifier(cfg, "ensemble"), (p1, p2)).data.shape == (6,)
 
 
 def test_forward_batch_dispatches_on_kind():
