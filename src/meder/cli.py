@@ -214,10 +214,11 @@ def _corpus_path(rc: RunConfig) -> Path:
     return data_path(SAMPLE_CORPUS_FILE)
 
 
-def _out_dir(rc: RunConfig) -> Path:
-    out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _for_writing(path: Path) -> Path:
+    """`path` with its directory created; a command calls this only once
+    it is about to write, so a failed command leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _prep_config(rc: RunConfig) -> PrepConfig:
@@ -243,11 +244,11 @@ def _split_spec(rc: RunConfig) -> SplitSpec:
 
 
 def _vocab_path(rc: RunConfig) -> Path:
-    return Path(rc.vocab) if rc.vocab else _out_dir(rc) / "vocab.txt"
+    return Path(rc.vocab) if rc.vocab else Path(rc.out_dir) / "vocab.txt"
 
 
 def _checkpoint_path(rc: RunConfig) -> Path:
-    return Path(rc.checkpoint) if rc.checkpoint else _out_dir(rc) / "model.ckpt"
+    return Path(rc.checkpoint) if rc.checkpoint else Path(rc.out_dir) / "model.ckpt"
 
 
 def _read_vocab(path: Path) -> Vocab:
@@ -257,16 +258,18 @@ def _read_vocab(path: Path) -> Vocab:
 
 
 def _induce_vocab(rc: RunConfig, records, prep_cfg: PrepConfig, labels: LabelSet) -> Vocab:
-    """Train the vocabulary on `records` and write it to the vocab path."""
+    """Train the vocabulary on `records`."""
     token_lists = []
     for r in records:
         cr = preprocess_record(r, prep_cfg, labels)
         token_lists += [list(cr.clean_text), list(cr.clean_entity)]
-    vocab = train_vocab(token_lists, rc.target_size, rc.min_freq)
-    path = _vocab_path(rc)
+    return train_vocab(token_lists, rc.target_size, rc.min_freq)
+
+
+def _write_vocab(rc: RunConfig, vocab: Vocab) -> None:
+    path = _for_writing(_vocab_path(rc))
     save_vocab(vocab, path)
     print(f"vocab: {len(vocab)} tokens (target {rc.target_size}, min_freq {rc.min_freq}) -> {path}")
-    return vocab
 
 
 def _model_config(rc: RunConfig, vocab_size: int, n_classes: int) -> ModelConfig:
@@ -356,13 +359,14 @@ def cmd_prepare(rc: RunConfig) -> int:
                 continue
             seen_ids.add(rec_id)
             kept.append(RawRecord(id=rec_id, text=text, entity=entity, label=label))
-    out_path = _out_dir(rc) / "corpus.jsonl"
+    if not kept:
+        reasons = "; ".join(f"{dropped[r]} {r}" for r in sorted(dropped)) or "no data rows"
+        raise DataError(f"{src}: no usable rows (dropped {reasons})")
+    out_path = _for_writing(Path(rc.out_dir) / "corpus.jsonl")
     write_corpus(kept, out_path)
     print(f"kept {len(kept)} records -> {out_path}")
     for reason in sorted(dropped):
         print(f"dropped {dropped[reason]}: {reason}")
-    if not kept:
-        raise DataError(f"{src}: no usable rows")
     return 0
 
 
@@ -396,25 +400,25 @@ def cmd_vocab(rc: RunConfig) -> int:
     """Train and write the subword vocabulary."""
     labels = _labels(rc)
     records = load_corpus(_corpus_path(rc), labels)
-    _induce_vocab(rc, split(records, _split_spec(rc))[0], _prep_config(rc), labels)
+    _write_vocab(rc, _induce_vocab(rc, split(records, _split_spec(rc))[0], _prep_config(rc), labels))
     return 0
 
 
 def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
     """Check the model settings, load and split the corpus, read the
     vocab --vocab names or induce one from the train split, pack every
-    split and size the model config to the vocab and label set."""
+    split, write an induced vocab only once packing has succeeded, and
+    size the model config to the vocab and label set."""
     labels = _labels(rc)
     # a bad model setting fails before any work; the vocab size comes last
     mc = _model_config(rc, len(SPECIALS), len(labels))
     records = load_corpus(_corpus_path(rc), labels)
     prep_cfg = _prep_config(rc)
     splits = split(records, _split_spec(rc))
-    if rc.vocab:
-        vocab = _read_vocab(Path(rc.vocab))
-    else:
-        vocab = _induce_vocab(rc, splits[0], prep_cfg, labels)
+    vocab = _read_vocab(Path(rc.vocab)) if rc.vocab else _induce_vocab(rc, splits[0], prep_cfg, labels)
     data = prepare_data(splits, labels, prep_cfg, vocab, rc.max_len)
+    if not rc.vocab:
+        _write_vocab(rc, vocab)
     return data, dataclasses.replace(mc, vocab_size=len(vocab))
 
 
@@ -432,10 +436,9 @@ def cmd_train(rc: RunConfig) -> int:
             f"train_acc={rec.train_accuracy:.4f} val_loss={rec.val_loss:.4f} "
             f"val_acc={rec.val_accuracy:.4f}"
         )
-    out = _out_dir(rc)
     ckpt = _checkpoint_path(rc)
-    save_checkpoint(model, ckpt)
-    history_path = out / "history.json"
+    save_checkpoint(model, _for_writing(ckpt))
+    history_path = _for_writing(Path(rc.out_dir) / "history.json")
     history_path.write_text(history.to_json(), encoding="utf-8")
     best_val = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"best val accuracy: {best_val:.4f}")
@@ -474,8 +477,8 @@ def cmd_eval(rc: RunConfig) -> int:
     rendered = render(cm, labels.names)
     print(rendered.table_text)
     print(rendered.confusion_csv, end="")
-    out = _out_dir(rc)
-    (out / "report.json").write_text(rendered.report_json, encoding="utf-8")
+    out = Path(rc.out_dir)
+    _for_writing(out / "report.json").write_text(rendered.report_json, encoding="utf-8")
     (out / "confusion.csv").write_text(rendered.confusion_csv, encoding="utf-8")
     print(f"report: {out / 'report.json'}")
     print(f"confusion: {out / 'confusion.csv'}")
@@ -514,7 +517,7 @@ def cmd_compare(rc: RunConfig) -> int:
         "delta (ensemble - single): "
         + " ".join(f"{k}={report.deltas[k]:+.4f}" for k in ("accuracy", "micro_f1", "macro_f1"))
     )
-    out_path = _out_dir(rc) / "comparison.json"
+    out_path = _for_writing(Path(rc.out_dir) / "comparison.json")
     out_path.write_text(report.to_json(), encoding="utf-8")
     print(f"report: {out_path}")
     return 0

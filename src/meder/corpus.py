@@ -308,30 +308,24 @@ def split(
         )
     rng = random.Random(spec.seed)
 
-    if not spec.stratified:
-        order = list(range(n))
-        rng.shuffle(order)
-        val_idx = order[:n_val]
-        test_idx = order[n_val:n_val + n_test]
-        train_idx = order[n_val + n_test:]
-    else:
-        buckets: dict[str, list[int]] = {}
-        for i, r in enumerate(records):
-            buckets.setdefault(r.label, []).append(i)
-        bucket_order = list(buckets)
-        for lab in bucket_order:
-            rng.shuffle(buckets[lab])
+    # an unstratified split is a stratified split over one bucket
+    buckets: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        buckets.setdefault(r.label if spec.stratified else "", []).append(i)
+    bucket_order = list(buckets)
+    for lab in bucket_order:
+        rng.shuffle(buckets[lab])
 
-        sizes = {lab: len(buckets[lab]) for lab in bucket_order}
-        n_val_by, n_test_by = _stratified_counts(sizes, bucket_order, n_val, n_test)
+    sizes = {lab: len(buckets[lab]) for lab in bucket_order}
+    n_val_by, n_test_by = _stratified_counts(sizes, bucket_order, n_val, n_test)
 
-        val_idx, test_idx, train_idx = [], [], []
-        for lab in bucket_order:
-            b = buckets[lab]
-            v, t = n_val_by[lab], n_test_by[lab]
-            val_idx.extend(b[:v])
-            test_idx.extend(b[v:v + t])
-            train_idx.extend(b[v + t:])
+    val_idx, test_idx, train_idx = [], [], []
+    for lab in bucket_order:
+        b = buckets[lab]
+        v, t = n_val_by[lab], n_test_by[lab]
+        val_idx.extend(b[:v])
+        test_idx.extend(b[v:v + t])
+        train_idx.extend(b[v + t:])
 
     return (
         [records[i] for i in train_idx],

@@ -3,7 +3,8 @@
 Every observation becomes two fixed-length sequences over the same ids:
 [CLS] text [SEP] entity [SEP] and [CLS] entity [SEP] text [SEP], one per
 encoder branch.  The entity is never truncated; overflowing text is cut
-from the right.
+from the right.  A pair stores only its content and max_len; `block`
+lays out the padded arrays.
 """
 
 from __future__ import annotations
@@ -27,45 +28,39 @@ class PairOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class EncodedPair:
-    input_ids: tuple[int, ...]
-    segment_ids: tuple[int, ...]
-    attention_mask: tuple[int, ...]
+    """One packing of an observation: the content ids of the two parts
+    (without specials) and the length `block` pads the row to."""
+
+    first: tuple[int, ...]
+    second: tuple[int, ...]
     order: PairOrder
     label_id: int
+    max_len: int
 
     def __post_init__(self) -> None:
-        n = len(self.input_ids)
-        if len(self.segment_ids) != n or len(self.attention_mask) != n:
-            raise DataError(
-                f"pair arrays disagree on length: ids {n}, segments "
-                f"{len(self.segment_ids)}, mask {len(self.attention_mask)}"
-            )
-        if n == 0 or self.input_ids[0] != CLS_ID:
-            raise DataError("input_ids must start with [CLS]")
-        ids, segs, mask = self.input_ids, self.segment_ids, self.attention_mask
-        k = mask.count(1)
-        if k + mask.count(0) != n:
-            raise DataError("attention_mask entries must be 0 or 1")
-        if segs.count(0) + segs.count(1) != n:
-            raise DataError("segment_ids entries must be 0 or 1")
-        if mask[k:].count(1):
-            raise DataError("attention_mask must be a prefix of 1s followed by 0s")
-        if PAD_ID in ids[:k] or ids[k:].count(PAD_ID) != n - k or segs[k:].count(0) != n - k:
-            # some position breaks the layout; report the first one
-            for i, (tok, m) in enumerate(zip(ids, mask)):
-                if (tok != PAD_ID) != (m == 1):
-                    raise DataError(f"position {i}: mask {m} inconsistent with id {tok}")
-                if m == 0 and segs[i] != 0:
-                    raise DataError(f"position {i}: padding must carry segment 0")
-        seps = ids[:k].count(SEP_ID)
-        if seps != 2:
-            raise DataError(f"expected exactly 2 [SEP] tokens, found {seps}")
+        if self.content_len > self.max_len:
+            raise DataError(f"content of {self.content_len} ids exceeds max_len {self.max_len}")
+        for part in (self.first, self.second):
+            if PAD_ID in part or SEP_ID in part:
+                raise DataError("pair content must not hold [PAD] or [SEP]")
         if self.label_id < 0:
             raise DataError(f"label_id must be non-negative, got {self.label_id}")
 
     @property
     def content_len(self) -> int:
-        return self.attention_mask.count(1)
+        return len(self.first) + len(self.second) + 3
+
+    @property
+    def input_ids(self) -> tuple[int, ...]:
+        return tuple(block([self]).input_ids[0].tolist())
+
+    @property
+    def segment_ids(self) -> tuple[int, ...]:
+        return tuple(block([self]).segment_ids[0].tolist())
+
+    @property
+    def attention_mask(self) -> tuple[int, ...]:
+        return tuple(block([self]).attention_mask[0].tolist())
 
 
 def build_pair(
@@ -91,24 +86,14 @@ def build_pair(
             f"max_len {max_len} cannot hold the entity ({len(entity_ids)} ids) "
             "plus specials and at least one text token"
         )
-    text_kept = list(text_ids)[:budget]
+    text_kept = tuple(text_ids[:budget])
     if order is PairOrder.TEXT_FIRST:
-        first, second = text_kept, list(entity_ids)
+        first, second = text_kept, tuple(entity_ids)
     elif order is PairOrder.ENTITY_FIRST:
-        first, second = list(entity_ids), text_kept
+        first, second = tuple(entity_ids), text_kept
     else:
         raise DataError(f"unknown pair order {order!r}")
-    ids = [CLS_ID] + first + [SEP_ID] + second + [SEP_ID]
-    segments = [0] * (len(first) + 2) + [1] * (len(second) + 1)
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    return EncodedPair(
-        input_ids=tuple(ids + [PAD_ID] * pad),
-        segment_ids=tuple(segments + [0] * pad),
-        attention_mask=tuple(mask + [0] * pad),
-        order=order,
-        label_id=label_id,
-    )
+    return EncodedPair(first, second, order, label_id, max_len)
 
 
 def build_both(
@@ -146,14 +131,26 @@ class PairBatch:
 
 
 def block(pairs: Sequence[EncodedPair]) -> BatchBlock:
-    """Stack one branch's pairs, all of one order, into its arrays."""
+    """Lay out one branch's pairs, all of one order and max_len, as
+    [CLS] first [SEP] second [SEP] rows padded with [PAD] to max_len;
+    segment 1 runs from the second part to the final [SEP]."""
     orders = {p.order for p in pairs}
     if len(orders) != 1:
         raise DataError(f"batch mixes pair orders: {sorted(o.value for o in orders)}")
+    lengths = {p.max_len for p in pairs}
+    if len(lengths) != 1:
+        raise DataError(f"batch mixes max_len values: {sorted(lengths)}")
+    cols = np.arange(lengths.pop())
+    mask = cols < np.array([p.content_len for p in pairs])[:, None]
+    input_ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    input_ids[mask] = [
+        tok for p in pairs for tok in (CLS_ID, *p.first, SEP_ID, *p.second, SEP_ID)
+    ]
+    second_start = np.array([len(p.first) + 2 for p in pairs])[:, None]
     return BatchBlock(
-        input_ids=np.array([p.input_ids for p in pairs], dtype=np.int64),
-        segment_ids=np.array([p.segment_ids for p in pairs], dtype=np.int64),
-        attention_mask=np.array([p.attention_mask for p in pairs], dtype=np.int64),
+        input_ids=input_ids,
+        segment_ids=(mask & (cols >= second_start)).astype(np.int64),
+        attention_mask=mask.astype(np.int64),
         order=next(iter(orders)),
     )
 
@@ -172,9 +169,9 @@ def batchify(
                 raise DataError(
                     f"pair elements disagree on label: {a.label_id} vs {b.label_id}"
                 )
-            if len(a.input_ids) != len(b.input_ids):
+            if a.max_len != b.max_len:
                 raise DataError(
-                    f"pair elements disagree on length: {len(a.input_ids)} vs {len(b.input_ids)}"
+                    f"pair elements disagree on length: max_len {a.max_len} vs {b.max_len}"
                 )
         batches.append(PairBatch(
             first=block([a for a, _ in chunk]),

@@ -128,14 +128,13 @@ def _delete_table(charset: frozenset) -> dict[int, None]:
 
 
 @lru_cache(maxsize=32)
-def _rules_by_length(rules: tuple) -> tuple[tuple[str, str], ...]:
-    # stable sort: longest suffix first, table order breaks ties
-    return tuple(sorted(rules, key=lambda r: -len(r[0])))
-
-
-@lru_cache(maxsize=32)
-def _suffix_forms(rules: tuple) -> frozenset[str]:
-    return frozenset(s for s, _ in rules)
+def _rule_index(rules: tuple) -> tuple[dict[str, str], tuple[int, ...]]:
+    """suffix -> replacement, the table's first rule winning, and the
+    distinct suffix lengths, longest first."""
+    index: dict[str, str] = {}
+    for suffix, repl in rules:
+        index.setdefault(suffix, repl)
+    return index, tuple(sorted({len(s) for s in index}, reverse=True))
 
 
 def clean_text(raw: str, cfg: PrepConfig) -> str:
@@ -152,18 +151,17 @@ def remove_stopwords(tokens: Sequence[str], cfg: PrepConfig) -> list[str]:
 
 
 def _apply_suffix_rules(word: str, rules: tuple[tuple[str, str], ...], passes: int) -> str:
+    index, lengths = _rule_index(rules)
     out = word
     for _ in range(passes):
-        if out in _suffix_forms(rules):
+        if out in index:
             # a bare table entry is a bound morpheme, not a stemmable word
             break
-        matched = False
-        for suffix, repl in _rules_by_length(rules):
-            if len(out) > len(suffix) and out.endswith(suffix):
-                out = unicodedata.normalize("NFC", out[: len(out) - len(suffix)] + repl)
-                matched = True
+        for n in lengths:
+            if len(out) > n and out[-n:] in index:
+                out = unicodedata.normalize("NFC", out[:-n] + index[out[-n:]])
                 break
-        if not matched:
+        else:
             break
     return out
 

@@ -159,12 +159,7 @@ def test_criterion_04_full_ensemble_gradient_check():
 
 
 def _pad_extend(pair, extra):
-    return dataclasses.replace(
-        pair,
-        input_ids=pair.input_ids + (0,) * extra,
-        segment_ids=pair.segment_ids + (0,) * extra,
-        attention_mask=pair.attention_mask + (0,) * extra,
-    )
+    return dataclasses.replace(pair, max_len=pair.max_len + extra)
 
 
 def test_criterion_05_padding_never_moves_logits():

@@ -322,6 +322,24 @@ def test_predict_without_checkpoint_exits_2(tmp_path, capsys):
                        "--text", "x", "--entity", "y")
     assert code == 2
     assert "run `meder train` first" in err
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_eval_without_checkpoint_creates_no_out_dir(tmp_path, capsys):
+    code, _, err = run(capsys, "eval", "--out-dir", str(tmp_path / "fresh"))
+    assert code == 2
+    assert "run `meder train` first" in err
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_prepare_with_no_usable_rows_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "unknown_label.csv"
+    src.write_text("text,entity,label\nrow,alpha,Bogus\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, text_out, err = run(capsys, "prepare", "--input", str(src), "--out-dir", str(out_dir))
+    assert code == 2 and "no usable rows (dropped 1 unknown label)" in err
+    assert text_out == ""
+    assert not out_dir.exists()
 
 
 def test_compare_writes_a_valid_report(tmp_path, capsys):
@@ -337,8 +355,10 @@ def test_compare_writes_a_valid_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("setting", ["--lr=nan", "--weight-decay=inf", "--epochs=0",
-                                     "--batch-size=0", "--d-model=30"])
+                                     "--batch-size=0", "--d-model=30", "--max-len=6"])
 def test_bad_training_settings_exit_2_before_any_work(tmp_path, capsys, command, setting):
+    """Nothing is printed or written; --max-len=6 is found only when the
+    splits are packed, which comes before the induced vocab is written."""
     out = tmp_path / "out"
     code, text_out, err = run(capsys, command, "--out-dir", str(out), setting)
     assert code == 2

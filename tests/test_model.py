@@ -200,15 +200,7 @@ def test_extra_padding_leaves_logits_unchanged():
         model = Classifier(cfg, "ensemble")
         p1, p2 = build_both([5, 6, 7, 8, 9], [10, 11], max_len=12, label_id=0)
         base = forward_pairs(model, (p1, p2)).data
-        widened = tuple(
-            dataclasses.replace(
-                p,
-                input_ids=p.input_ids + (0,) * 4,
-                segment_ids=p.segment_ids + (0,) * 4,
-                attention_mask=p.attention_mask + (0,) * 4,
-            )
-            for p in (p1, p2)
-        )
+        widened = tuple(dataclasses.replace(p, max_len=p.max_len + 4) for p in (p1, p2))
         wide = forward_pairs(model, widened).data
     assert np.abs(base - wide).max() < 1e-8
 

@@ -15,7 +15,7 @@ from meder.pairseq import (
     build_both,
     build_pair,
 )
-from meder.tokenizer import CLS_ID, PAD_ID, SEP_ID
+from meder.tokenizer import CLS_ID, PAD_ID, SEP_ID, UNK_ID
 
 
 def test_default_max_len():
@@ -100,74 +100,52 @@ def test_build_both_second_equals_swapped_build_pair():
 
 
 def test_encoded_pair_invariant_validation():
-    ok = dict(
-        input_ids=(2, 5, 3, 7, 3, 0),
-        segment_ids=(0, 0, 0, 1, 1, 0),
-        attention_mask=(1, 1, 1, 1, 1, 0),
-        order=PairOrder.TEXT_FIRST,
-        label_id=0,
-    )
+    ok = dict(first=(5,), second=(7,), order=PairOrder.TEXT_FIRST, label_id=0, max_len=6)
     EncodedPair(**ok)
-    with pytest.raises(DataError, match="disagree on length"):
-        EncodedPair(**{**ok, "segment_ids": (0, 0, 0, 1, 1)})
-    with pytest.raises(DataError, match=r"start with \[CLS\]"):
-        EncodedPair(**{**ok, "input_ids": (5, 5, 3, 7, 3, 0)})
-    with pytest.raises(DataError, match="prefix of 1s"):
-        EncodedPair(**{**ok, "input_ids": (2, 0, 3, 7, 3, 5),
-                       "attention_mask": (1, 0, 1, 1, 1, 1),
-                       "segment_ids": (0, 0, 0, 1, 1, 1)})
-    with pytest.raises(DataError, match="mask 1 inconsistent with id 0"):
-        EncodedPair(**{**ok, "input_ids": (2, 0, 3, 7, 3, 0)})
-    with pytest.raises(DataError, match="padding must carry segment 0"):
-        EncodedPair(**{**ok, "segment_ids": (0, 0, 0, 1, 1, 1)})
-    with pytest.raises(DataError, match=r"exactly 2 \[SEP\]"):
-        EncodedPair(**{**ok, "input_ids": (2, 5, 3, 7, 8, 0),
-                       "segment_ids": (0, 0, 0, 1, 1, 0)})
+    assert EncodedPair(**ok).input_ids == (2, 5, 3, 7, 3, 0)
+    EncodedPair(**{**ok, "max_len": 5})
+    with pytest.raises(DataError, match="content of 5 ids exceeds max_len 4"):
+        EncodedPair(**{**ok, "max_len": 4})
+    for bad in (PAD_ID, SEP_ID):
+        with pytest.raises(DataError, match=r"must not hold \[PAD\] or \[SEP\]"):
+            EncodedPair(**{**ok, "first": (5, bad)})
+        with pytest.raises(DataError, match=r"must not hold \[PAD\] or \[SEP\]"):
+            EncodedPair(**{**ok, "second": (bad,)})
     with pytest.raises(DataError, match="label_id"):
         EncodedPair(**{**ok, "label_id": -1})
 
 
-def per_position_verdict(ids, segs, mask):
-    """The pair invariants checked one position at a time, in the order
-    EncodedPair reports them: the message it must raise, or None."""
-    n = len(ids)
-    if len(segs) != n or len(mask) != n:
-        return "disagree on length"
-    if n == 0 or ids[0] != CLS_ID:
-        return "input_ids must start with [CLS]"
-    if any(m not in (0, 1) for m in mask):
-        return "attention_mask entries must be 0 or 1"
-    if any(s not in (0, 1) for s in segs):
-        return "segment_ids entries must be 0 or 1"
-    if list(mask) != sorted(mask, reverse=True):
-        return "prefix of 1s"
-    for i, (tok, m) in enumerate(zip(ids, mask)):
-        if (tok != PAD_ID) != (m == 1):
-            return f"position {i}: mask {m} inconsistent with id {tok}"
-        if m == 0 and segs[i] != 0:
-            return f"position {i}: padding must carry segment 0"
-    seps = sum(1 for tok, m in zip(ids, mask) if m and tok == SEP_ID)
-    if seps != 2:
-        return f"expected exactly 2 [SEP] tokens, found {seps}"
-    return None
+def padded_rows(text, entity, order, max_len):
+    """(input_ids, segment_ids, attention_mask) as plain lists, built one
+    part at a time: the layout `block` must reproduce."""
+    kept = list(text)[:max_len - 3 - len(entity)]
+    first, second = (kept, list(entity)) if order is PairOrder.TEXT_FIRST else (list(entity), kept)
+    ids = [CLS_ID] + first + [SEP_ID] + second + [SEP_ID]
+    segments = [0] * (len(first) + 2) + [1] * (len(second) + 1)
+    pad = max_len - len(ids)
+    return ids + [PAD_ID] * pad, segments + [0] * pad, [1] * len(ids) + [0] * pad
 
 
-def test_pair_validation_agrees_with_the_per_position_reference():
-    rng = random.Random(17)
-    good = build_pair([5, 6, 7], [8, 9], PairOrder.TEXT_FIRST, max_len=12)
-    for _ in range(3000):
-        fields = [list(good.input_ids), list(good.segment_ids), list(good.attention_mask)]
-        for _ in range(rng.randint(1, 2)):
-            row = rng.choice(fields)
-            row[rng.randrange(len(row))] = rng.choice([0, 1, 2, 3, 5])
-        ids, segs, mask = (tuple(f) for f in fields)
-        want = per_position_verdict(ids, segs, mask)
-        if want is None:
-            EncodedPair(ids, segs, mask, PairOrder.TEXT_FIRST, 0)
-        else:
-            with pytest.raises(DataError) as info:
-                EncodedPair(ids, segs, mask, PairOrder.TEXT_FIRST, 0)
-            assert want in str(info.value)
+def test_block_layout_matches_plain_list_rows():
+    rng = random.Random(23)
+    content_ids = [UNK_ID] + list(range(4, 1000))
+    draw = lambda k: [rng.choice(content_ids) for _ in range(k)]
+    fields = ("input_ids", "segment_ids", "attention_mask")
+    n_pairs = 0
+    for _ in range(120):
+        max_len = rng.randint(6, 484)
+        records = [(draw(rng.randint(1, max_len + 8)), draw(rng.randint(1, min(max_len - 4, 40))))
+                   for _ in range(rng.randint(1, 5))]
+        pairs = [build_both(t, e, max_len, label_id=i) for i, (t, e) in enumerate(records)]
+        (batch,) = batchify(pairs, len(pairs))
+        for column, (arrays, order) in enumerate(zip((batch.first, batch.second), PairOrder)):
+            for row, (text, entity) in enumerate(records):
+                want = padded_rows(text, entity, order, max_len)
+                for name, expected in zip(fields, want):
+                    assert getattr(arrays, name)[row].tolist() == expected
+                    assert getattr(pairs[row][column], name) == tuple(expected)
+                n_pairs += 1
+    assert n_pairs >= 500
 
 
 def test_built_pairs_satisfy_invariants_randomly():
@@ -203,6 +181,7 @@ def test_batchify_concatenation_reconstructs_input():
     batches = batchify(pairs, 3)
     rows = [row for b in batches for row in b.first.input_ids.tolist()]
     assert rows == [list(a.input_ids) for a, _ in pairs]
+    assert rows == [padded_rows([4 + i, 5 + i], [9], PairOrder.TEXT_FIRST, 8)[0] for i in range(7)]
     labels = [lab for b in batches for lab in b.labels.tolist()]
     assert labels == [a.label_id for a, _ in pairs]
 
@@ -218,3 +197,8 @@ def test_batchify_rejects_mixed_batches():
     relabeled = dataclasses.replace(b, label_id=4)
     with pytest.raises(DataError, match="disagree on label"):
         batchify([(a, relabeled)], 2)
+    # rows packed at different max_len cannot share a block
+    wider = build_both([5, 6], [7], max_len=9)
+    with pytest.raises(DataError, match=r"mixes max_len values: \[8, 9\]"):
+        batchify([(a, b), wider], 2)
+    assert [batch.size for batch in batchify([(a, b), wider], 1)] == [1, 1]

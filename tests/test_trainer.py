@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -334,10 +335,8 @@ def test_predict_rejects_bad_queries():
                 max_len=MAX_LEN)
 
 
-def test_library_full_scale_config_trains_an_epoch_on_the_bundled_sample(monkeypatch):
-    """max_len 484 at batch 32: each block is encoded only up to its
-    longest row, so an epoch costs what the sample's short rows cost.
-    A full-width encode would need gigabytes, so it fails at once."""
+def sample_inputs():
+    """(splits, labels, prep, vocab) for the bundled sample at the CLI defaults."""
     labels = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
     splits = split(load_corpus(data_path(SAMPLE_CORPUS_FILE), labels), SplitSpec.default())
     prep = PrepConfig.default()
@@ -345,7 +344,31 @@ def test_library_full_scale_config_trains_an_epoch_on_the_bundled_sample(monkeyp
     for r in splits[0]:
         cr = preprocess_record(r, prep, labels)
         tokens += [list(cr.clean_text), list(cr.clean_entity)]
-    vocab = train_vocab(tokens, target_size=200, min_freq=2)
+    return splits, labels, prep, train_vocab(tokens, target_size=200, min_freq=2)
+
+
+def test_packed_storage_does_not_grow_with_max_len():
+    """A packed pair holds its content, not max_len padded positions."""
+    inputs = sample_inputs()
+    prepare_data(*inputs, 48)  # fills the preprocessing caches
+
+    def retained(max_len):
+        tracemalloc.start()
+        try:
+            data = prepare_data(*inputs, max_len)  # held while measuring
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    short, full = retained(48), retained(484)
+    assert full < 1.5 * short, f"{full} bytes at max_len 484 against {short} at 48"
+
+
+def test_library_full_scale_config_trains_an_epoch_on_the_bundled_sample(monkeypatch):
+    """max_len 484 at batch 32: each block is encoded only up to its
+    longest row, so an epoch costs what the sample's short rows cost.
+    A full-width encode would need gigabytes, so it fails at once."""
+    splits, labels, prep, vocab = sample_inputs()
     data = prepare_data(splits, labels, prep, vocab, 484)
     longest = max(p.content_len for split_pairs in (data.train, data.val)
                   for pair in split_pairs for p in pair)
