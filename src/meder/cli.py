@@ -404,11 +404,12 @@ def cmd_vocab(rc: RunConfig) -> int:
     return 0
 
 
-def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
+def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig, Vocab]:
     """Check the model settings, load and split the corpus, read the
     vocab --vocab names or induce one from the train split, pack every
-    split, write an induced vocab only once packing has succeeded, and
-    size the model config to the vocab and label set."""
+    split, and size the model config to the vocab and label set.  The
+    caller writes an induced vocab only once its own work has
+    succeeded."""
     labels = _labels(rc)
     # a bad model setting fails before any work; the vocab size comes last
     mc = _model_config(rc, len(SPECIALS), len(labels))
@@ -417,15 +418,13 @@ def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig]:
     splits = split(records, _split_spec(rc))
     vocab = _read_vocab(Path(rc.vocab)) if rc.vocab else _induce_vocab(rc, splits[0], prep_cfg, labels)
     data = prepare_data(splits, labels, prep_cfg, vocab, rc.max_len)
-    if not rc.vocab:
-        _write_vocab(rc, vocab)
-    return data, dataclasses.replace(mc, vocab_size=len(vocab))
+    return data, dataclasses.replace(mc, vocab_size=len(vocab)), vocab
 
 
 def cmd_train(rc: RunConfig) -> int:
     """Train a model and write checkpoint + history."""
     train_cfg = _train_config(rc)
-    data, mc = _training_inputs(rc)
+    data, mc, vocab = _training_inputs(rc)
     model = Classifier(mc, rc.arm)
     print(f"model: {model.kind} d_model={mc.d_model} n_layers={mc.n_layers} "
           f"n_heads={mc.n_heads} params={count_params(model)}")
@@ -440,6 +439,8 @@ def cmd_train(rc: RunConfig) -> int:
     save_checkpoint(model, _for_writing(ckpt))
     history_path = _for_writing(Path(rc.out_dir) / "history.json")
     history_path.write_text(history.to_json(), encoding="utf-8")
+    if not rc.vocab:
+        _write_vocab(rc, vocab)
     best_val = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"best val accuracy: {best_val:.4f}")
     print(f"checkpoint: {ckpt}")
@@ -505,7 +506,7 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
 def cmd_compare(rc: RunConfig) -> int:
     """Train single and ensemble arms, report deltas."""
     train_cfg = _train_config(rc)
-    data, mc = _training_inputs(rc)
+    data, mc, vocab = _training_inputs(rc)
     report = compare(mc, data, train_cfg)
     for arm in ("single", "ensemble"):
         a = report.arms[arm]
@@ -519,6 +520,8 @@ def cmd_compare(rc: RunConfig) -> int:
     )
     out_path = _for_writing(Path(rc.out_dir) / "comparison.json")
     out_path.write_text(report.to_json(), encoding="utf-8")
+    if not rc.vocab:
+        _write_vocab(rc, vocab)
     print(f"report: {out_path}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -55,6 +55,11 @@ class PrepConfig:
                 raise DataError(f"replacement {repl!r} is longer than suffix {suffix!r}")
         if self.max_passes < 1:
             raise DataError(f"max_passes must be at least 1, got {self.max_passes}")
+
+    @cached_property
+    def stems(self) -> dict[str, str]:
+        """word -> its normalize_word result, filled in by normalize_word."""
+        return {}
 
     @classmethod
     def default(cls) -> "PrepConfig":
@@ -174,7 +179,11 @@ def normalize_word(word: str, cfg: PrepConfig) -> str:
     """
     if not word:
         raise DataError("normalize_word requires a non-empty token")
-    return _apply_suffix_rules(word, cfg.suffix_rules, cfg.max_passes)
+    stems = cfg.stems
+    stem = stems.get(word)
+    if stem is None:
+        stem = stems[word] = _apply_suffix_rules(word, cfg.suffix_rules, cfg.max_passes)
+    return stem
 
 
 def preprocess_text(raw: str, cfg: PrepConfig) -> list[str]:

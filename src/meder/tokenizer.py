@@ -8,7 +8,8 @@ a word that cannot be fully covered encodes as a single [UNK].
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +45,11 @@ class Vocab:
     def id_of(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
 
+    @cached_property
+    def encoded(self) -> dict[str, tuple[int, ...]]:
+        """word -> its encode_word ids, filled in by encode_text."""
+        return {}
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -65,8 +71,15 @@ def train_vocab(
 
     Starts from the specials plus every character symbol seen at least
     min_freq times, then repeatedly merges the most frequent adjacent
-    symbol pair (ties broken by the lexicographically smallest merged
-    token) until target_size entries exist or no pair qualifies.
+    symbol pair whose merged token is new, until target_size entries
+    exist or no pair occurs min_freq times.  Ties go to the
+    lexicographically smallest merged token; two pairs that merge to
+    the same token with the same count (#+#####a and ####+##a both give
+    ####a) go to the smallest (left, right) pair.
+
+    Pair counts are taken once; a merge rewrites only the words that
+    hold the merged pair and updates the counts of the pairs it changed
+    (Sennrich et al., ACL 2016).
     """
     if min_freq < 1:
         raise DataError(f"min_freq must be at least 1, got {min_freq}")
@@ -89,30 +102,28 @@ def train_vocab(
 
     vocab = list(SPECIALS) + alphabet
     vocab_set = set(vocab)
-    while len(vocab) < target_size:
-        pair_freq: Counter = Counter()
-        for word, f in word_freq.items():
-            seq = seqs[word]
-            for pair in zip(seq, seq[1:]):
-                pair_freq[pair] += f
-        best = None
-        for (a, b), f in pair_freq.items():
-            if f < min_freq:
-                continue
-            merged = _merge_token(a, b)
-            if merged in vocab_set:
-                continue
-            key = (-f, merged)
-            if best is None or key < best[0]:
-                best = (key, (a, b), merged)
-        if best is None:
+    pair_freq: Counter = Counter()
+    words_with: defaultdict[tuple[str, str], set[str]] = defaultdict(set)
+    for word, f in word_freq.items():
+        seq = seqs[word]
+        for pair in zip(seq, seq[1:]):
+            pair_freq[pair] += f
+            words_with[pair].add(word)
+    # (-count, merged, pair); an entry is stale once its pair's count has
+    # moved or its merged token has entered the vocabulary
+    heap = [(-f, _merge_token(*pair), pair) for pair, f in pair_freq.items()]
+    heapq.heapify(heap)
+    while len(vocab) < target_size and heap:
+        neg_f, merged, (a, b) = heapq.heappop(heap)
+        if pair_freq[a, b] != -neg_f or merged in vocab_set:
+            continue
+        if -neg_f < min_freq:
             break
-        _, (a, b), merged = best
         vocab.append(merged)
         vocab_set.add(merged)
-        for word, seq in seqs.items():
-            if a not in seq or b not in seq:
-                continue
+        delta: Counter = Counter()
+        for word in words_with.pop((a, b)):
+            seq = seqs[word]
             out: list[str] = []
             i = 0
             while i < len(seq):
@@ -122,7 +133,18 @@ def train_vocab(
                 else:
                     out.append(seq[i])
                     i += 1
+            f = word_freq[word]
+            for pair in zip(seq, seq[1:]):
+                delta[pair] -= f
+            for pair in zip(out, out[1:]):
+                delta[pair] += f
+                if merged in pair:
+                    words_with[pair].add(word)
             seqs[word] = tuple(out)
+        for pair, d in delta.items():
+            if d:
+                pair_freq[pair] += d
+                heapq.heappush(heap, (-pair_freq[pair], _merge_token(*pair), pair))
     return Vocab(tuple(vocab))
 
 
@@ -153,9 +175,15 @@ def encode_word(word: str, v: Vocab) -> list[int]:
 
 
 def encode_text(tokens: Sequence[str], v: Vocab) -> list[int]:
+    """encode_word over tokens, concatenated; each distinct word is
+    encoded once per vocabulary."""
+    memo = v.encoded
     ids: list[int] = []
     for t in tokens:
-        ids.extend(encode_word(t, v))
+        word_ids = memo.get(t)
+        if word_ids is None:
+            word_ids = memo[t] = tuple(encode_word(t, v))
+        ids.extend(word_ids)
     return ids
 
 

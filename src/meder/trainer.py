@@ -173,13 +173,16 @@ def train(
         epoch_correct = 0
         for batch in batches:
             step += 1
-            loss, correct = _batch_loss_and_correct(model, batch, drop_rng)
-            if not np.isfinite(loss.data):
-                raise NumericError(
-                    f"training diverged at epoch {epoch}, step {step}: loss is not finite"
-                )
-            backward(loss)
-            opt.step()
+            # overflow shows up as a non-finite loss, reported below as the
+            # NumericError, not as NumPy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, correct = _batch_loss_and_correct(model, batch, drop_rng)
+                if not np.isfinite(loss.data):
+                    raise NumericError(
+                        f"training diverged at epoch {epoch}, step {step}: loss is not finite"
+                    )
+                backward(loss)
+                opt.step()
             epoch_loss += float(loss.data) * batch.size
             epoch_correct += correct
             if cfg.eval_every and val_batches and step % cfg.eval_every == 0:

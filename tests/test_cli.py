@@ -296,6 +296,23 @@ def test_train_induces_its_vocab_unless_vocab_names_one(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_a_diverged_train_writes_nothing_and_names_one_error(tmp_path):
+    """A run that diverges exits 3 with one line on stderr, the named
+    error and no NumPy warnings, and leaves no vocab.txt behind."""
+    out = tmp_path / "div"
+    env = dict(os.environ, PYTHONPATH=str(Path(meder.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "meder.cli", "train", "--out-dir", str(out), "--lr", "1e4",
+         "--epochs", "2", "--max-len", "32", "--d-model", "8", "--n-heads", "2",
+         "--n-layers", "1", "--d-ff", "16", "--target-size", "200", "--min-freq", "2"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 3
+    assert done.stderr == "numeric error: training diverged at epoch 2, step 4: loss is not finite\n"
+    assert "vocab:" not in done.stdout
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("vocab_size", [300, 150])
 def test_predict_with_a_vocab_larger_than_the_checkpoint_exits_2(tmp_path, capsys, vocab_size):
     """Any vocab whose size differs from the checkpoint's is refused

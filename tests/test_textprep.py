@@ -1,5 +1,6 @@
 """Text preprocessing tests: cleaning, stopwords, suffix stripping, goldens."""
 
+import dataclasses
 import json
 import random
 import unicodedata
@@ -178,16 +179,41 @@ def test_preprocess_record_is_deterministic(cfg):
     assert first == second
 
 
-def test_golden_records(cfg):
+def test_golden_records():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert len(golden) == 20
     labels = LabelSet.default()
-    by_id = {r.id: r for r in load_corpus(data_path(SAMPLE_CORPUS_FILE), labels)}
-    for expected in golden:
-        clean = preprocess_record(by_id[expected["id"]], cfg, labels)
-        assert clean.clean_text == tuple(expected["clean_text"]), expected["id"]
-        assert clean.clean_entity == tuple(expected["clean_entity"]), expected["id"]
-        assert clean.label_id == expected["label_id"], expected["id"]
+    records = load_corpus(data_path(SAMPLE_CORPUS_FILE), labels)
+    by_id = {r.id: r for r in records}
+    cfg = PrepConfig.default()
+    # first with a cold stem memo, then warmed by the whole sample
+    for _ in ("cold", "warm"):
+        for expected in golden:
+            clean = preprocess_record(by_id[expected["id"]], cfg, labels)
+            assert clean.clean_text == tuple(expected["clean_text"]), expected["id"]
+            assert clean.clean_entity == tuple(expected["clean_entity"]), expected["id"]
+            assert clean.label_id == expected["label_id"], expected["id"]
+        for r in records:
+            preprocess_record(r, cfg, labels)
+    assert cfg.stems
+
+
+def test_stem_memo_belongs_to_its_config(cfg):
+    twice = dataclasses.replace(cfg, max_passes=2)
+    assert not twice.stems
+    word = "ওষুধগুলোর"
+    once_stem, twice_stem = normalize_word(word, cfg), normalize_word(word, twice)
+    assert cfg.stems[word] == once_stem and twice.stems[word] == twice_stem
+    assert twice_stem == normalize_word(once_stem, cfg)
+
+
+def test_prep_config_equality_and_hash_ignore_the_stem_memo():
+    a, b = PrepConfig.default(), PrepConfig.default()
+    before = hash(a)
+    preprocess_text("ডাক্তার রোগীকে ওষুধগুলোর কথা বললেন", a)
+    assert a.stems and not b.stems
+    assert a == b and hash(a) == hash(b) == before
+    assert a != dataclasses.replace(a, max_passes=2)
 
 
 def test_bundled_suffix_file_keeps_trailing_tabs():

@@ -1,13 +1,22 @@
 """Subword vocabulary training and greedy encoding tests."""
 
+import os
 import random
 import string
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meder
+from meder.bundled import SAMPLE_CORPUS_FILE, data_path
+from meder.corpus import LabelSet, SplitSpec, load_corpus, split
 from meder.errors import DataError
+from meder.textprep import PrepConfig, preprocess_record
 from meder.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -26,6 +35,60 @@ from meder.tokenizer import (
 
 def vocab_of(*tokens):
     return Vocab(SPECIALS + tuple(tokens))
+
+
+def recount_train_vocab(corpus, target_size, min_freq):
+    """Reference learner: recount every pair of every word on every
+    merge and rewrite every word.  Same merge order as train_vocab:
+    highest count, then smallest merged token, then smallest pair."""
+    word_freq = Counter(w for tokens in corpus for w in tokens)
+    seqs = {w: tuple([w[0]] + ["##" + c for c in w[1:]]) for w in word_freq}
+    sym_freq = Counter()
+    for word, f in word_freq.items():
+        for s in seqs[word]:
+            sym_freq[s] += f
+    vocab = list(SPECIALS) + sorted(s for s, f in sym_freq.items() if f >= min_freq)
+    while len(vocab) < target_size:
+        pair_freq = Counter()
+        for word, f in word_freq.items():
+            seq = seqs[word]
+            for pair in zip(seq, seq[1:]):
+                pair_freq[pair] += f
+        best = None
+        for (a, b), f in pair_freq.items():
+            merged = a + (b[2:] if b.startswith("##") else b)
+            if f < min_freq or merged in vocab:
+                continue
+            key = (-f, merged, (a, b))
+            if best is None or key < best:
+                best = key
+        if best is None:
+            break
+        _, merged, (a, b) = best
+        vocab.append(merged)
+        for word, seq in seqs.items():
+            out, i = [], 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seqs[word] = tuple(out)
+    return tuple(vocab)
+
+
+def sample_train_tokens():
+    """The token lists `meder vocab` induces from at the CLI defaults."""
+    labels = LabelSet.default()
+    train_split = split(load_corpus(data_path(SAMPLE_CORPUS_FILE), labels), SplitSpec.default())[0]
+    prep = PrepConfig.default()
+    token_lists = []
+    for r in train_split:
+        cr = preprocess_record(r, prep, labels)
+        token_lists += [list(cr.clean_text), list(cr.clean_entity)]
+    return token_lists
 
 
 def test_special_ids():
@@ -95,6 +158,49 @@ def test_train_vocab_tie_break_is_lexicographic():
     assert v.tokens.index("ab") < v.tokens.index("ac")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_train_vocab_matches_the_recount_reference(data):
+    letters = data.draw(st.sampled_from(["a", "ab", "abc"]))
+    words = data.draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=9), max_size=40))
+    min_freq = data.draw(st.integers(1, 3))
+    sym_freq = Counter(c if i == 0 else "##" + c for w in words for i, c in enumerate(w))
+    smallest = 4 + sum(f >= min_freq for f in sym_freq.values())
+    target = data.draw(st.integers(smallest, max(smallest, 60)))
+    got = train_vocab([words], target, min_freq).tokens
+    assert got == recount_train_vocab([words], target, min_freq)
+
+
+@pytest.mark.parametrize("target", [120, 200, 300, 8000])
+def test_train_vocab_matches_the_recount_reference_on_the_sample(target):
+    tokens = sample_train_tokens()
+    assert train_vocab(tokens, target, 2).tokens == recount_train_vocab(tokens, target, 2)
+
+
+@pytest.mark.parametrize("words", [["####a", "###a"], ["###a", "####a"]])
+def test_train_vocab_breaks_a_same_token_tie_by_the_smallest_pair(words):
+    # After merging ####, ##### and #####a, the words are (#, #####a) and
+    # (#, ####, ##a).  Both #+#####a and ####+##a occur once and merge to
+    # ####a.  The smallest pair, (#, #####a), wins in either corpus order;
+    # the other word keeps ####+##a, whose token is then taken, so no
+    # further merge qualifies.  Had (####, ##a) won, #+####a would add ###a.
+    v = train_vocab([words], target_size=60, min_freq=1)
+    assert v.tokens == SPECIALS + ("#", "###", "##a", "####", "#####", "#####a", "####a")
+    assert v.tokens == recount_train_vocab([words], 60, 1)
+
+
+def test_vocab_file_does_not_depend_on_the_hash_seed(tmp_path):
+    written = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(meder.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "meder.cli", "vocab", "--out-dir", str(out)],
+                       check=True, capture_output=True, env=env, timeout=120)
+        written.append((out / "vocab.txt").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_encode_word_whole_word_hit():
     v = vocab_of("drug")
     assert encode_word("drug", v) == [v.id_of["drug"]]
@@ -140,6 +246,39 @@ def test_encode_text_is_flat_map():
         tokens = [rng.choice(corpus[0]) for _ in range(rng.randrange(6))]
         flat = [i for t in tokens for i in encode_word(t, trained)]
         assert encode_text(tokens, trained) == flat
+
+
+def test_encode_text_memo_matches_encode_word_on_random_words():
+    rng = random.Random(11)
+    corpus = [["".join(rng.choice("abc[]") for _ in range(rng.randint(1, 6)))
+               for _ in range(200)]]
+    v = train_vocab(corpus, target_size=40, min_freq=2)
+    # uncoverable letters give whole-word [UNK]s; specials are spelled as words
+    pool = corpus[0] + ["xyz", "ax", "q"] + list(SPECIALS)
+    assert encode_word("xyz", v) == [UNK_ID]
+    for _ in range(300):
+        tokens = [rng.choice(pool) for _ in range(rng.randrange(8))]
+        assert encode_text(tokens, v) == [i for t in tokens for i in encode_word(t, v)]
+    assert set(v.encoded) <= set(pool)
+    assert all(v.encoded[w] == tuple(encode_word(w, v)) for w in v.encoded)
+
+
+def test_each_vocab_keeps_its_own_encodings():
+    short = vocab_of("a", "##b")
+    long = vocab_of("a", "##b", "ab")
+    assert encode_text(["ab"], short) == [4, 5]
+    assert encode_text(["ab"], long) == [6]
+    assert encode_text(["ab", "ab"], short) == [4, 5, 4, 5]
+    assert short.encoded == {"ab": (4, 5)} and long.encoded == {"ab": (6,)}
+
+
+def test_vocab_equality_and_hash_ignore_the_memos():
+    a, b = vocab_of("a", "##b"), vocab_of("a", "##b")
+    before = hash(a)
+    encode_text(["ab", "ba"], a)
+    assert a.encoded and not b.encoded
+    assert a == b and hash(a) == hash(b) == before
+    assert a != vocab_of("a", "##c")
 
 
 def test_decode_fuses_continuations_and_drops_specials():
