@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import numcore as nc
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .numcore import Tensor
 from .pairseq import BatchBlock, EncodedPair, PairBatch, PairOrder, block
 
@@ -363,8 +363,16 @@ def _layout(model: Classifier) -> tuple[bytes, list[np.ndarray]]:
     return CHECKPOINT_MAGIC + "\n".join(lines).encode("utf-8") + b"\n", arrays
 
 
+def require_finite(named: Iterable[tuple[str, np.ndarray]], error: type, where: str) -> None:
+    """Raise `error` naming the first (name, array) pair that holds a NaN or inf."""
+    for name, arr in named:
+        if not np.isfinite(arr).all():
+            raise error(f"{where}: tensor {name} holds NaN or inf")
+
+
 def save_checkpoint(model: Classifier, path: Union[str, Path]) -> None:
     header, arrays = _layout(model)
+    require_finite(zip(model.parameters(), arrays), NumericError, f"cannot save {path}")
     Path(path).write_bytes(header + b"".join(arr.tobytes() for arr in arrays))
 
 
@@ -408,8 +416,7 @@ def load_checkpoint(path: Union[str, Path]) -> Classifier:
     offset = len(header)
     for t, arr in zip(model.parameters().values(), arrays):
         data = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset)
-        if not np.isfinite(data).all():
-            raise DataError(f"{p}: tensor {t.name} holds NaN or inf")
         t.data = data.reshape(arr.shape).astype(nc.default_dtype())
         offset += arr.nbytes
+    require_finite(((name, t.data) for name, t in model.parameters().items()), DataError, str(p))
     return model

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 def param(data, name: str) -> Tensor:
@@ -313,15 +307,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(table.grad, ids, g)
 
     return _node(data, (table,), backward)
-
-
-def total_sum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
-
-    def backward(g: np.ndarray) -> None:
-        a.grad += np.broadcast_to(g, a.data.shape)
-
-    return _node(data, (a,), backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -13,7 +13,8 @@ import numpy as np
 from .corpus import LabelSet, RawRecord, split_fingerprint
 from .errors import DataError, NumericError
 from .metrics import MetricsReport, aggregate, confusion, report_data
-from .model import ARMS, Classifier, ModelConfig, forward_batch, forward_ensemble, forward_single
+from .model import (ARMS, Classifier, ModelConfig, forward_batch,
+                    forward_ensemble, forward_single, require_finite)
 from .numcore import Tensor, backward, cross_entropy, row_softmax
 from .pairseq import EncodedPair, PairBatch, batchify, build_both, build_pair
 from .textprep import PrepConfig, preprocess_record, preprocess_text
@@ -65,7 +66,9 @@ class TrainHistory:
     records: tuple[EpochRecord, ...]
 
     def to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.records], indent=2) + "\n"
+        """Strict JSON: a validation metric that is NaN (no validation set) is null."""
+        rows = [{k: None if math.isnan(v) else v for k, v in asdict(r).items()} for r in self.records]
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 class AdamW:
@@ -132,23 +135,15 @@ def _eval_loss_acc(model: Classifier, batches: list[PairBatch]) -> tuple[float, 
     return total_loss / n, correct / n
 
 
-def _snapshot(model: Classifier) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in model.parameters().items()}
-
-
-def _restore(model: Classifier, snap: dict[str, np.ndarray]) -> None:
-    for name, p in model.parameters().items():
-        p.data = snap[name].copy()
-
-
 def train(
     model: Classifier,
     train_pairs: PairList,
     val_pairs: PairList,
     cfg: TrainConfig,
 ) -> tuple[Classifier, TrainHistory]:
-    """Seeded AdamW training; the best-validation-accuracy parameters
-    are restored into the model before returning.
+    """Seeded AdamW training; validation after every `eval_every`-th step
+    and each epoch's last step needs finite weights and loss (else
+    NumericError), and the weights of its best accuracy are restored.
 
     Shuffling uses one seeded stream, dropout another, so repeated runs
     with the same config are identical.
@@ -157,59 +152,58 @@ def train(
         raise DataError("train needs a non-empty training set")
     shuffle_rng = random.Random(cfg.seed)
     drop_rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    params = model.parameters()
+    opt = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     val_batches = batchify(list(val_pairs), cfg.batch_size)
 
-    best_acc = -1.0
-    best_snap = _snapshot(model)
+    best_acc = -math.inf
+    best_snap = None
     records: list[EpochRecord] = []
     stale_epochs = 0
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = list(range(len(train_pairs)))
-        shuffle_rng.shuffle(order)
-        batches = batchify([train_pairs[i] for i in order], cfg.batch_size)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for batch in batches:
-            step += 1
-            # overflow shows up as a non-finite loss, reported below as the
-            # NumericError, not as NumPy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows up as a non-finite loss or weight, reported below as
+    # the NumericError, not as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = list(range(len(train_pairs)))
+            shuffle_rng.shuffle(order)
+            batches = batchify([train_pairs[i] for i in order], cfg.batch_size)
+            epoch_loss = 0.0
+            epoch_correct = 0
+            improved = False
+            for i, batch in enumerate(batches, 1):
+                step += 1
+                diverged = f"training diverged at epoch {epoch}, step {step}"
                 loss, correct = _batch_loss_and_correct(model, batch, drop_rng)
                 if not np.isfinite(loss.data):
-                    raise NumericError(
-                        f"training diverged at epoch {epoch}, step {step}: loss is not finite"
-                    )
+                    raise NumericError(f"{diverged}: loss is not finite")
                 backward(loss)
                 opt.step()
-            epoch_loss += float(loss.data) * batch.size
-            epoch_correct += correct
-            if cfg.eval_every and val_batches and step % cfg.eval_every == 0:
-                acc = _eval_loss_acc(model, val_batches)[1]
-                if acc > best_acc:
-                    best_acc = acc
-                    best_snap = _snapshot(model)
-        val_loss, val_acc = _eval_loss_acc(model, val_batches)
-        records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=epoch_loss / len(train_pairs),
-            train_accuracy=epoch_correct / len(train_pairs),
-            val_loss=val_loss,
-            val_accuracy=val_acc,
-        ))
-        if val_batches:
-            if val_acc > best_acc:
-                best_acc = val_acc
-                best_snap = _snapshot(model)
-                stale_epochs = 0
-            else:
-                stale_epochs += 1
-            if cfg.patience and stale_epochs >= cfg.patience:
+                epoch_loss += float(loss.data) * batch.size
+                epoch_correct += correct
+                mid = cfg.eval_every and val_batches and step % cfg.eval_every == 0
+                if i < len(batches) and not mid:
+                    continue
+                require_finite(((name, p.data) for name, p in params.items()), NumericError, diverged)
+                val_loss, val_acc = _eval_loss_acc(model, val_batches)
+                if val_batches and not math.isfinite(val_loss):
+                    raise NumericError(f"{diverged}: validation loss is not finite")
+                if val_acc > best_acc:
+                    best_acc = val_acc
+                    best_snap = {name: p.data.copy() for name, p in params.items()}
+                    improved = True
+            records.append(EpochRecord(
+                epoch=epoch,
+                train_loss=epoch_loss / len(train_pairs),
+                train_accuracy=epoch_correct / len(train_pairs),
+                val_loss=val_loss,
+                val_accuracy=val_acc,
+            ))
+            stale_epochs = 0 if improved else stale_epochs + 1
+            if val_batches and cfg.patience and stale_epochs >= cfg.patience:
                 break
-        else:
-            best_snap = _snapshot(model)
-    _restore(model, best_snap)
+    for name, data in (best_snap or {}).items():
+        params[name].data = data
     return model, TrainHistory(tuple(records))
 
 
@@ -285,51 +279,6 @@ def prepare_data(
     )
 
 
-COMPARISON_JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "fingerprints", "arms", "deltas"],
-    "properties": {
-        "schema": {"const": COMPARISON_SCHEMA},
-        "fingerprints": {
-            "type": "object",
-            "required": ["train", "val", "test"],
-            "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        },
-        "arms": {
-            "type": "object",
-            "required": ["single", "ensemble"],
-            "additionalProperties": {
-                "type": "object",
-                "required": [
-                    "accuracy", "micro_f1", "macro_f1", "weighted_f1",
-                    "epochs_trained", "per_class",
-                ],
-                "properties": {
-                    "accuracy": {"type": "number"},
-                    "micro_f1": {"type": "number"},
-                    "macro_f1": {"type": "number"},
-                    "weighted_f1": {"type": "number"},
-                    "epochs_trained": {"type": "integer"},
-                    "per_class": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["label", "precision", "recall", "f1", "support"],
-                        },
-                    },
-                },
-            },
-        },
-        "deltas": {
-            "type": "object",
-            "required": ["accuracy", "micro_f1", "macro_f1"],
-            "additionalProperties": {"type": "number"},
-        },
-    },
-}
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     fingerprints: dict[str, str]
@@ -343,7 +292,7 @@ class ComparisonReport:
             "arms": self.arms,
             "deltas": self.deltas,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _arm_summary(report: MetricsReport, labels: Sequence[str], epochs: int) -> dict:

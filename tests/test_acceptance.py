@@ -18,6 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import meder.model as model_mod
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
 from meder.cli import main as cli_main
 from meder.corpus import (
@@ -37,7 +38,9 @@ from meder.numcore import cross_entropy, grad_check, use_dtype
 from meder.pairseq import PairOrder, batchify, build_both, build_pair
 from meder.textprep import PrepConfig, preprocess_record
 from meder.tokenizer import train_vocab
-from meder.trainer import COMPARISON_JSON_SCHEMA, TrainConfig, compare, prepare_data, train
+from meder.trainer import TrainConfig, compare, prepare_data, train
+
+from helpers import COMPARISON_JSON_SCHEMA, uncut_cls
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -162,7 +165,9 @@ def _pad_extend(pair, extra):
     return dataclasses.replace(pair, max_len=pair.max_len + extra)
 
 
-def test_criterion_05_padding_never_moves_logits():
+def test_criterion_05_padding_never_moves_logits(monkeypatch):
+    """The cut forward's logits equal those of the uncut stack run over
+    4 extra padding columns, so masked keys never move a prediction."""
     start = time.monotonic()
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -173,15 +178,12 @@ def test_criterion_05_padding_never_moves_logits():
         text = rng.integers(4, 30, size=int(rng.integers(1, 10))).tolist()
         entity = rng.integers(4, 30, size=int(rng.integers(1, 4))).tolist()
         p1, p2 = build_both(text, entity, max_len=16)
-        w1, w2 = _pad_extend(p1, 4), _pad_extend(p2, 4)
-        if i % 2 == 0:
-            model = Classifier(cfg, "ensemble")
-            base = forward_pairs(model, (p1, p2)).data
-            wide = forward_pairs(model, (w1, w2)).data
-        else:
-            model = Classifier(cfg, "single")
-            base = forward_pairs(model, (p1,)).data
-            wide = forward_pairs(model, (w1,)).data
+        kind, pairs = ("ensemble", (p1, p2)) if i % 2 == 0 else ("single", (p1,))
+        model = Classifier(cfg, kind)
+        base = forward_pairs(model, pairs).data
+        with monkeypatch.context() as m:
+            m.setattr(model_mod, "encode_cls", uncut_cls)
+            wide = forward_pairs(model, [_pad_extend(p, 4) for p in pairs]).data
         worst = max(worst, float(np.abs(base - wide).max()))
     elapsed = time.monotonic() - start
     assert worst < 1e-5, f"padding moved logits by {worst:.2e}"

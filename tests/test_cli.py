@@ -20,7 +20,8 @@ from meder.cli import COMMANDS, RunConfig, _build_parser, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
 from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.tokenizer import load_vocab
-from meder.trainer import COMPARISON_JSON_SCHEMA
+
+from helpers import COMPARISON_JSON_SCHEMA
 
 LABELS = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
 
@@ -296,6 +297,10 @@ def test_train_induces_its_vocab_unless_vocab_names_one(tmp_path, capsys):
     assert not fresh.exists()
 
 
+# the diverging runs below break their weights on the last step of epoch 1
+LAST_STEP_OVERFLOW = "training diverged at epoch 1, step 3: tensor branch1.word_emb holds NaN or inf"
+
+
 def test_a_diverged_train_writes_nothing_and_names_one_error(tmp_path):
     """A run that diverges exits 3 with one line on stderr, the named
     error and no NumPy warnings, and leaves no vocab.txt behind."""
@@ -308,9 +313,59 @@ def test_a_diverged_train_writes_nothing_and_names_one_error(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 3
-    assert done.stderr == "numeric error: training diverged at epoch 2, step 4: loss is not finite\n"
+    assert done.stderr == f"numeric error: {LAST_STEP_OVERFLOW}\n"
     assert "vocab:" not in done.stdout
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [("--epochs", "1"), ("--epochs", "1", "--eval-every", "1"),
+                                   ("--epochs", "2", "--eval-every", "1")])
+def test_a_last_step_overflow_exits_3_without_warnings_or_artefacts(tmp_path, extra):
+    """Weights that turn non-finite on an epoch's last step are caught by
+    that step's validation, whether or not mid-epoch validation is on:
+    no snapshot or checkpoint of them, one named error, no NumPy warning."""
+    out = tmp_path / "div1"
+    env = dict(os.environ, PYTHONPATH=str(Path(meder.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "meder.cli", "train", "--out-dir", str(out), "--lr", "1e4",
+         "--max-len", "32", "--d-model", "8", "--n-heads", "2", "--n-layers", "1",
+         "--d-ff", "16", "--target-size", "200", "--min-freq", "2", *extra],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 3
+    assert done.stderr == f"numeric error: {LAST_STEP_OVERFLOW}\n"
+    assert "RuntimeWarning" not in done.stdout + done.stderr
+    assert not out.exists()
+
+
+def test_validating_every_epoch_length_steps_keeps_the_epoch_end_selection(tmp_path, capsys):
+    """With eval_every equal to the steps per epoch, each mid-epoch
+    validation is the epoch-end one: patience sees the same gains and the
+    same weights are kept as with eval_every 0."""
+    outputs = []
+    for every in ("0", "6"):  # 96 training records in batches of 16
+        out = tmp_path / f"every{every}"
+        code, _, err = run(capsys, "train", "--out-dir", str(out), *SMALL, "--lr", "2e-2",
+                           "--epochs", "6", "--patience", "1", "--eval-every", every)
+        assert code == 0, err
+        outputs.append([(out / name).read_bytes() for name in ("history.json", "model.ckpt")])
+    assert len(json.loads(outputs[0][0])) == 3  # epoch 2 gained, epoch 3 did not
+    assert outputs[0] == outputs[1]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_history_without_validation_is_strict_json_with_nulls(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "train", "--out-dir", str(out), *SMALL, "--val-frac", "0",
+                       "--epochs", "2")
+    assert code == 0, err
+    text = (out / "history.json").read_text(encoding="utf-8")
+    rows = json.loads(text, parse_constant=_refuse_constant)
+    assert [(r["val_loss"], r["val_accuracy"]) for r in rows] == [(None, None)] * 2
+    assert all(isinstance(r["train_loss"], float) for r in rows)
 
 
 @pytest.mark.parametrize("vocab_size", [300, 150])

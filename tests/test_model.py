@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meder.model as mm
-from meder.errors import DataError, ShapeError
+from meder.errors import DataError, NumericError, ShapeError
 from meder.model import (
     ARMS,
     CHECKPOINT_MAGIC,
@@ -28,8 +28,10 @@ from meder.model import (
     save_checkpoint,
     trunc_normal,
 )
-from meder.numcore import Tensor, backward, cross_entropy, grad_check, select, use_dtype
+from meder.numcore import Tensor, backward, cross_entropy, grad_check, use_dtype
 from meder.pairseq import PairBatch, batchify, build_both
+
+from helpers import uncut_cls
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_encoder.json"
@@ -194,13 +196,16 @@ def test_golden_forward_outputs_are_stable():
         assert np.abs(got - expected).max() < 1e-9, key
 
 
-def test_extra_padding_leaves_logits_unchanged():
+def test_extra_padding_leaves_logits_unchanged(monkeypatch):
+    """The uncut stack, run over extra padding columns, gives the cut
+    forward's logits: masked keys carry no weight."""
     with use_dtype(np.float64):
         cfg = toy_config(max_len=16)
         model = Classifier(cfg, "ensemble")
         p1, p2 = build_both([5, 6, 7, 8, 9], [10, 11], max_len=12, label_id=0)
         base = forward_pairs(model, (p1, p2)).data
         widened = tuple(dataclasses.replace(p, max_len=p.max_len + 4) for p in (p1, p2))
+        monkeypatch.setattr(mm, "encode_cls", uncut_cls)
         wide = forward_pairs(model, widened).data
     assert np.abs(base - wide).max() < 1e-8
 
@@ -240,12 +245,6 @@ def test_blocked_head_rows_make_logits_ignore_second_branch():
         a = forward_pairs(model, (p1, p2)).data
         b = forward_pairs(model, (p1, other)).data
     assert np.array_equal(a, b)
-
-
-def uncut_cls(branch, input_ids, segment_ids, attention_mask, rng=None):
-    """The CLS vector of the whole block, padding columns included."""
-    return select(encode(branch, embed(branch, input_ids, segment_ids), attention_mask, rng),
-                  0, axis=1)
 
 
 def mixed_length_batch(max_len=24):
@@ -495,6 +494,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
         bad.write_bytes(blob[:-4] + np.array([value], dtype="<f4").tobytes())
         with pytest.raises(DataError, match="head.b holds NaN or inf"):
             load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_save_refuses_non_finite_weights_and_writes_nothing(tmp_path, value):
+    """1e39 is finite in float64 but inf once stored as <f4."""
+    with use_dtype(np.float64):
+        model = Classifier(toy_config(), "single")
+    model.head["b"].data[1] = value
+    path = tmp_path / "model.ckpt"
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"cannot save .*model.ckpt: tensor head.b holds NaN or inf"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 FUZZ_SOURCE = (DATA / "golden_ensemble.ckpt").read_bytes()

@@ -9,6 +9,7 @@ import meder.numcore as nc
 from meder.errors import NumericError, ShapeError
 from meder.numcore import (
     Tensor,
+    add,
     backward,
     concat,
     cross_entropy,
@@ -18,14 +19,16 @@ from meder.numcore import (
     layer_norm,
     masked_fill,
     matmul,
+    mul,
     param,
     reshape,
     row_softmax,
     select,
-    total_sum,
     transpose,
     use_dtype,
 )
+
+from helpers import total_sum
 
 
 def f64(fn):
@@ -65,10 +68,10 @@ def test_matmul_shape_errors_name_both_shapes():
 
 
 def test_add_broadcast_and_shape_error():
-    out = Tensor(np.ones((2, 3))) + Tensor(np.arange(3.0))
+    out = add(Tensor(np.ones((2, 3))), Tensor(np.arange(3.0)))
     assert out.data.shape == (2, 3)
     with pytest.raises(ShapeError, match="cannot broadcast"):
-        Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
+        add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
 def test_row_softmax_analytic_cases():
@@ -154,16 +157,16 @@ def test_backward_requires_scalar_and_finite_loss():
     with use_dtype(np.float64):
         vec = param(np.ones(3), "v")
         with pytest.raises(NumericError, match="scalar"):
-            backward(vec + 1.0)
+            backward(add(vec, 1.0))
         inf = param(np.array(np.inf), "inf")
         with pytest.raises(NumericError, match="non-finite"):
-            backward(inf * 1.0)
+            backward(mul(inf, 1.0))
 
 
 def test_backward_accumulates_over_reused_nodes():
     with use_dtype(np.float64):
         x = param(np.array([2.0]), "x")
-        loss = total_sum(x * x)  # d/dx x^2 = 2x
+        loss = total_sum(mul(x, x))  # d/dx x^2 = 2x
         backward(loss)
         assert np.allclose(x.grad, [4.0], atol=1e-12)
 
@@ -242,7 +245,7 @@ def test_grad_check_linear_model_is_exact():
         b = param(rng.normal(size=(3,)), "b")
         x = rng.normal(size=(2, 5))
         report = grad_check(
-            lambda: total_sum(matmul(Tensor(x), w) + b),
+            lambda: total_sum(add(matmul(Tensor(x), w), b)),
             {"w": w, "b": b},
         )
     assert report.passed
@@ -321,13 +324,13 @@ def test_grad_check_detects_corrupted_gelu(monkeypatch):
 def test_grad_check_requires_float64():
     w = param(np.ones((2, 2)), "w")  # float32 under the default dtype
     with pytest.raises(NumericError, match="float64"):
-        grad_check(lambda: total_sum(w * 1.0), {"w": w})
+        grad_check(lambda: total_sum(mul(w, 1.0)), {"w": w})
 
 
 def test_grad_check_report_lines():
     with use_dtype(np.float64):
         w = param(np.ones((2, 2)), "w")
-        report = grad_check(lambda: total_sum(w * 3.0), {"w": w})
+        report = grad_check(lambda: total_sum(mul(w, 3.0)), {"w": w})
     lines = report.lines()
     assert lines[0].startswith("w: max_rel_err")
     assert "overall: max_rel_err" in lines[-1]
@@ -338,7 +341,7 @@ def test_grad_check_samples_large_tensors():
     with use_dtype(np.float64):
         w = param(np.random.default_rng(9).normal(size=(30, 30)), "w")
         report = grad_check(
-            lambda: total_sum(w * w), {"w": w}, samples_per_tensor=50,
+            lambda: total_sum(mul(w, w)), {"w": w}, samples_per_tensor=50,
         )
     assert report.n_checked == 50
     assert report.passed

@@ -8,19 +8,20 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meder.model as mm
 import meder.numcore as nc
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
 from meder.corpus import LabelSet, RawRecord, SplitSpec, load_corpus, split, split_fingerprint
 from meder.errors import DataError, NumericError
-from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
+from meder.model import ARMS, Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.numcore import use_dtype
 from meder.pairseq import PairOrder
 from meder.textprep import PrepConfig, preprocess_record, preprocess_text
 from meder.tokenizer import train_vocab
 from meder.trainer import (
-    COMPARISON_JSON_SCHEMA,
     COMPARISON_SCHEMA,
     AdamW,
     TrainConfig,
@@ -32,6 +33,8 @@ from meder.trainer import (
     prepare_data,
     train,
 )
+
+from helpers import COMPARISON_JSON_SCHEMA
 
 MAX_LEN = 16
 PREP = PrepConfig(strip_charset=frozenset(".,!?"), stopwords=frozenset({"the"}),
@@ -200,6 +203,30 @@ def test_eval_every_checkpoints_mid_epoch():
     assert len(history.records) == 2
     best = max(r.val_accuracy for r in history.records)
     assert float(evaluate(model, PAIRS[10:], cfg.batch_size).accuracy) >= best
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(ARMS)), log_lr=st.floats(-4.0, 4.0),
+       epochs=st.integers(1, 2), eval_every=st.sampled_from([0, 1]), with_val=st.booleans())
+def test_train_raises_or_keeps_finite_weights_that_save_and_load(
+        tmp_path_factory, kind, log_lr, epochs, eval_every, with_val):
+    model = Classifier(small_config(dropout_rate=0.1), kind)
+    cfg = small_train_config(learning_rate=10.0 ** log_lr, epochs=epochs, eval_every=eval_every)
+    try:
+        model, history = train(model, PAIRS[::2], PAIRS[1::2] if with_val else [], cfg)
+    except NumericError:
+        return
+    path = tmp_path_factory.getbasetemp() / "trained.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path).parameters()
+    for name, p in model.parameters().items():
+        assert np.array_equal(loaded[name].data, p.data), name
+    rows = json.loads(history.to_json(), parse_constant=_refuse_constant)
+    assert len(rows) == len(history.records)
 
 
 def test_train_requires_training_pairs():
