@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -421,6 +422,12 @@ def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig, Vocab]:
     return data, dataclasses.replace(mc, vocab_size=len(vocab)), vocab
 
 
+def _metric(value: float) -> str:
+    """A validation metric as printed: NaN (no validation set) is `null`,
+    as in history.json."""
+    return "null" if math.isnan(value) else f"{value:.4f}"
+
+
 def cmd_train(rc: RunConfig) -> int:
     """Train a model and write checkpoint + history."""
     train_cfg = _train_config(rc)
@@ -432,8 +439,8 @@ def cmd_train(rc: RunConfig) -> int:
     for rec in history.records:
         print(
             f"epoch {rec.epoch}/{rc.epochs} train_loss={rec.train_loss:.4f} "
-            f"train_acc={rec.train_accuracy:.4f} val_loss={rec.val_loss:.4f} "
-            f"val_acc={rec.val_accuracy:.4f}"
+            f"train_acc={rec.train_accuracy:.4f} val_loss={_metric(rec.val_loss)} "
+            f"val_acc={_metric(rec.val_accuracy)}"
         )
     ckpt = _checkpoint_path(rc)
     save_checkpoint(model, _for_writing(ckpt))
@@ -442,7 +449,7 @@ def cmd_train(rc: RunConfig) -> int:
     if not rc.vocab:
         _write_vocab(rc, vocab)
     best_val = max((r.val_accuracy for r in history.records), default=float("nan"))
-    print(f"best val accuracy: {best_val:.4f}")
+    print(f"best val accuracy: {_metric(best_val)}")
     print(f"checkpoint: {ckpt}")
     print(f"history: {history_path}")
     return 0

@@ -81,9 +81,8 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
     """Inverted dropout via a constant mask; identity when rng is None."""
     if rng is None or rate <= 0.0:
         return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / x.data.dtype.type(keep)
-    return nc.mul(x, Tensor(mask))
+    keep, dt = 1.0 - rate, x.data.dtype.type
+    return nc.mul(x, Tensor(np.where(rng.random(x.data.shape) < keep, dt(1) / dt(keep), dt(0))))
 
 
 class EncoderBranch:
@@ -155,9 +154,9 @@ def _attention(
         return nc.transpose(y, (0, 2, 1, 3))
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = nc.mul(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    scores = nc.matmul(q, nc.transpose(k, (0, 1, 3, 2)))
     key_mask = (np.asarray(attention_mask) == 0).reshape(batch, 1, 1, seq_len)
-    weights = nc.row_softmax(nc.masked_fill(scores, key_mask))
+    weights = nc.row_softmax(scores, key_mask=key_mask, scale=1.0 / math.sqrt(dh))
     weights = dropout(weights, cfg.dropout_rate, rng)
     ctx = nc.transpose(nc.matmul(weights, v), (0, 2, 1, 3))
     ctx = nc.reshape(ctx, (batch, seq_len, d))
@@ -355,7 +354,10 @@ def _layout(model: Classifier) -> tuple[bytes, list[np.ndarray]]:
     arrays = []
     offset = 0
     for name, t in params.items():
-        arr = np.ascontiguousarray(t.data, dtype="<f4")
+        # a float64 value beyond the float32 range becomes inf here and is
+        # reported by save_checkpoint's finiteness check, not as a warning
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(t.data, dtype="<f4")
         lines.append(f"{name} {','.join(str(d) for d in arr.shape)} {offset}")
         arrays.append(arr)
         offset += arr.nbytes

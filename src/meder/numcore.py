@@ -7,7 +7,10 @@ against overflow (softmax max subtraction, layer-norm epsilon), so finite
 inputs give finite outputs.
 
 Training runs in float32; verification (finite differences) runs under
-`use_dtype(np.float64)`.
+`use_dtype(np.float64)`.  Ops record a node only for outputs that need a
+gradient, and none at all under `no_grad()`; `backward` releases each
+node's gradient, closure and parents once it has run, so a spent loss
+holds nothing but its value.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ LAYER_NORM_EPS = 1e-5
 MASK_FILL_VALUE = -1e9
 
 _default_dtype = np.dtype(np.float32)
+_grad_enabled = True
 
 
 def default_dtype() -> np.dtype:
@@ -52,6 +56,18 @@ def use_dtype(dtype):
         yield
     finally:
         set_default_dtype(old)
+
+
+@contextmanager
+def no_grad():
+    """Build no tape: ops inside return nodes without parents or backward."""
+    global _grad_enabled
+    old = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = old
 
 
 class Tensor:
@@ -92,7 +108,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> 
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.name = None
     out._parents = parents if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
@@ -117,8 +133,10 @@ def add(a: Union[Tensor, float], b: Union[Tensor, float]) -> Tensor:
         raise ShapeError(f"add: cannot broadcast {a.data.shape} with {b.data.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g, b.data.shape)
 
     return _node(data, (a, b), backward)
 
@@ -131,8 +149,10 @@ def mul(a: Union[Tensor, float], b: Union[Tensor, float]) -> Tensor:
         raise ShapeError(f"mul: cannot broadcast {a.data.shape} with {b.data.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g * b.data, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g * a.data, b.data.shape)
 
     return _node(data, (a, b), backward)
 
@@ -149,8 +169,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: cannot broadcast {a.data.shape} with {b.data.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
 
     return _node(data, (a, b), backward)
 
@@ -212,20 +234,47 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         moved = np.moveaxis(g, axis, 0)
         for t, start, stop in zip(tensors, offsets, offsets[1:]):
-            t.grad += np.moveaxis(moved[start:stop], 0, axis)
+            if t.requires_grad:
+                t.grad += np.moveaxis(moved[start:stop], 0, axis)
 
     return _node(data, tuple(tensors), backward)
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, with max subtraction for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def row_softmax(
+    a: Tensor, key_mask: Optional[np.ndarray] = None, scale: Optional[float] = None
+) -> Tensor:
+    """Softmax over the last axis, with max subtraction for stability.
+
+    Attention probabilities in one node: the logits are first multiplied
+    by `scale`, then entries where `key_mask` is true are set to
+    MASK_FILL_VALUE.  Data and gradient are bit for bit those of
+    `row_softmax(masked_fill(mul(a, scale), key_mask))`.
+    """
+    x = a.data
+    if scale is not None:
+        scale = x.dtype.type(scale)
+        x = x * scale
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask, dtype=bool)
+        try:
+            np.broadcast_to(key_mask, x.shape)
+        except ValueError:
+            raise ShapeError(
+                f"row_softmax: key_mask {key_mask.shape} does not broadcast to {x.shape}"
+            ) from None
+        x = np.where(key_mask, x.dtype.type(MASK_FILL_VALUE), x)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
         inner = (g * data).sum(axis=-1, keepdims=True)
-        a.grad += (g - inner) * data
+        gx = (g - inner) * data
+        if key_mask is not None:
+            np.copyto(gx, 0.0, where=key_mask)
+        if scale is not None:
+            gx *= scale
+        a.grad += gx
 
     return _node(data, (a,), backward)
 
@@ -261,12 +310,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
 
     def backward(g: np.ndarray) -> None:
         axes = tuple(range(g.ndim - 1))
-        gain.grad += (g * xhat).sum(axis=axes)
-        bias.grad += g.sum(axis=axes)
-        gx = g * gain.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        a.grad += inv * (gx - m1 - xhat * m2)
+        if gain.requires_grad:
+            gain.grad += (g * xhat).sum(axis=axes)
+        if bias.requires_grad:
+            bias.grad += g.sum(axis=axes)
+        if a.requires_grad:
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            a.grad += inv * (gx - m1 - xhat * m2)
 
     return _node(data, (a, gain, bias), backward)
 
@@ -356,19 +408,44 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _spent(g: np.ndarray) -> None:
+    """The closure of a node whose graph an earlier backward released."""
+    raise NumericError(
+        "backward: the graph was already released by an earlier backward; build it again"
+    )
+
+
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` for every node reachable from a scalar loss."""
+    """Populate `.grad` for every leaf that needs one and is reachable from
+    a scalar loss, then release the graph.
+
+    A node's zero-filled gradient is allocated just before the first
+    closure that writes into it, and only if the node requires grad.
+    Each interior node's gradient and parents are dropped once its closure
+    has run, and the closure becomes `_spent`: the loss keeps only its
+    value, and a second backward through any node of it is a NumericError
+    rather than a gradient that silently stops there.
+    """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not np.isfinite(loss.data):
         raise NumericError("backward called on a non-finite loss")
+    if loss._backward is None:
+        raise NumericError("backward: the loss has no tape (built under no_grad or from constants)")
     order = _topo_order(loss)
     for node in order:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
+            # allocated at first write, not all up front: the heap then
+            # never grows by every gradient at once, which the allocator
+            # would hand back to the OS and fault in again every step
+            for p in node._parents:
+                if p.requires_grad and p.grad is None:
+                    p.grad = np.zeros_like(p.data)
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
 
 
 @dataclass(frozen=True)

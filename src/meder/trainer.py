@@ -15,7 +15,7 @@ from .errors import DataError, NumericError
 from .metrics import MetricsReport, aggregate, confusion, report_data
 from .model import (ARMS, Classifier, ModelConfig, forward_batch,
                     forward_ensemble, forward_single, require_finite)
-from .numcore import Tensor, backward, cross_entropy, row_softmax
+from .numcore import Tensor, backward, cross_entropy, no_grad, row_softmax
 from .pairseq import EncodedPair, PairBatch, batchify, build_both, build_pair
 from .textprep import PrepConfig, preprocess_record, preprocess_text
 from .tokenizer import Vocab, encode_text
@@ -125,11 +125,12 @@ def _eval_loss_acc(model: Classifier, batches: list[PairBatch]) -> tuple[float, 
     total_loss = 0.0
     correct = 0
     n = 0
-    for batch in batches:
-        loss, c = _batch_loss_and_correct(model, batch, rng=None)
-        total_loss += float(loss.data) * batch.size
-        correct += c
-        n += batch.size
+    with no_grad():
+        for batch in batches:
+            loss, c = _batch_loss_and_correct(model, batch, rng=None)
+            total_loss += float(loss.data) * batch.size
+            correct += c
+            n += batch.size
     if n == 0:
         return math.nan, math.nan
     return total_loss / n, correct / n
@@ -216,10 +217,11 @@ def predictions(
     """
     golds: list[int] = []
     preds: list[int] = []
-    for batch in batchify(list(pairs), batch_size):
-        logits = forward_batch(model, batch, rng=None)
-        preds.extend(int(i) for i in logits.data.argmax(axis=-1))
-        golds.extend(int(i) for i in batch.labels)
+    with no_grad():
+        for batch in batchify(list(pairs), batch_size):
+            logits = forward_batch(model, batch, rng=None)
+            preds.extend(int(i) for i in logits.data.argmax(axis=-1))
+            golds.extend(int(i) for i in batch.labels)
     return np.array(golds, dtype=np.int64), np.array(preds, dtype=np.int64)
 
 
@@ -359,7 +361,8 @@ def predict(
     pairs = [build_pair(text_ids, entity_ids, o, max_len, label_id=0) for o in model.orders]
     # bench/tracer.py times predict's forward under these two names
     forward_one = forward_single if len(pairs) == 1 else forward_ensemble
-    probs = row_softmax(forward_one(model, *pairs, rng=None)).data
+    with no_grad():
+        probs = row_softmax(forward_one(model, *pairs, rng=None)).data
     label_id = int(probs.argmax())
     return PredictResult(
         label=labels.names[label_id],

@@ -359,12 +359,15 @@ def _refuse_constant(token):
 
 def test_history_without_validation_is_strict_json_with_nulls(tmp_path, capsys):
     out = tmp_path / "out"
-    code, _, err = run(capsys, "train", "--out-dir", str(out), *SMALL, "--val-frac", "0",
-                       "--epochs", "2")
+    code, stdout, err = run(capsys, "train", "--out-dir", str(out), *SMALL, "--val-frac", "0",
+                            "--epochs", "2")
     assert code == 0, err
     text = (out / "history.json").read_text(encoding="utf-8")
     rows = json.loads(text, parse_constant=_refuse_constant)
     assert [(r["val_loss"], r["val_accuracy"]) for r in rows] == [(None, None)] * 2
+    # the printed report names the missing metric as history.json does
+    assert stdout.count("val_loss=null val_acc=null") == 2
+    assert "best val accuracy: null" in stdout and "nan" not in stdout
     assert all(isinstance(r["train_loss"], float) for r in rows)
 
 

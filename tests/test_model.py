@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from meder.model import (
     save_checkpoint,
     trunc_normal,
 )
-from meder.numcore import Tensor, backward, cross_entropy, grad_check, use_dtype
+from meder.numcore import Tensor, backward, cross_entropy, grad_check, no_grad, use_dtype
 from meder.pairseq import PairBatch, batchify, build_both
 
 from helpers import uncut_cls
@@ -97,6 +98,18 @@ def test_dropout_scales_kept_entries():
     kept = y[y != 0.0]
     assert np.allclose(kept, 2.0 / 0.75)
     assert 0.5 < np.mean(y != 0.0) < 0.9  # roughly the keep probability
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_is_a_constant_with_the_cast_and_divide_bits(dtype):
+    with use_dtype(dtype):
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 7)), requires_grad=True)
+        y = dropout(x, 0.3, np.random.default_rng(5))
+        mask = y._parents[1]
+        keep = (np.random.default_rng(5).random((6, 7)) < 0.7).astype(dtype) / dtype(0.7)
+        assert mask.data.dtype == dtype and np.array_equal(mask.data, keep)
+        backward(cross_entropy(y, np.zeros(6, dtype=np.int64)))
+    assert mask.grad is None and x.grad is not None
 
 
 def test_embed_matches_per_position_gather():
@@ -329,6 +342,38 @@ def test_hand_built_block_with_interior_holes_is_cut_after_its_last_unmasked_col
     assert np.abs(got.data - want.data).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(ARMS))
+def test_no_grad_logits_equal_the_recorded_ones_and_carry_no_tape(kind):
+    model = Classifier(toy_config(max_len=24), kind)
+    batch = mixed_length_batch()
+    recorded = forward_batch(model, batch)
+    with no_grad():
+        bare = forward_batch(model, batch)
+    assert recorded._parents and recorded.requires_grad
+    assert bare._parents == () and bare._backward is None and not bare.requires_grad
+    assert np.array_equal(bare.data, recorded.data)
+
+
+def test_a_spent_loss_holds_no_tape():
+    """After backward, the loss the training loop still holds keeps only
+    its value: what stays allocated is the parameter gradients.  d_model
+    32 keeps NumPy's per-array overhead small beside the weights."""
+    model = Classifier(toy_config(max_len=24, d_model=32, d_ff=64, dropout_rate=0.1), "ensemble")
+    batch = mixed_length_batch()
+    param_bytes = sum(t.data.nbytes for t in model.parameters().values())
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy(forward_batch(model, batch, rng), batch.labels)
+        backward(loss)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.data)
+    assert held <= 2 * param_bytes, (held, param_bytes)
+
+
 def test_inference_is_deterministic_and_dropout_rng_is_live():
     cfg = toy_config(dropout_rate=0.3)
     model = Classifier(cfg, "ensemble")
@@ -496,14 +541,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
             load_checkpoint(bad)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
 def test_save_refuses_non_finite_weights_and_writes_nothing(tmp_path, value):
-    """1e39 is finite in float64 but inf once stored as <f4."""
+    """1e39 is finite in float64 but inf once stored as <f4; the cast
+    reports it through the NumericError alone, with no NumPy warning."""
     with use_dtype(np.float64):
         model = Classifier(toy_config(), "single")
     model.head["b"].data[1] = value
     path = tmp_path / "model.ckpt"
-    with np.errstate(over="ignore"), pytest.raises(
+    with pytest.raises(
             NumericError, match=r"cannot save .*model.ckpt: tensor head.b holds NaN or inf"):
         save_checkpoint(model, path)
     assert not path.exists()

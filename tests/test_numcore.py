@@ -20,6 +20,7 @@ from meder.numcore import (
     masked_fill,
     matmul,
     mul,
+    no_grad,
     param,
     reshape,
     row_softmax,
@@ -93,6 +94,52 @@ def test_row_softmax_rows_sum_to_one_and_shift_invariance():
         # extreme logits stay finite thanks to max subtraction
         big = row_softmax(Tensor([[1e30, 0.0, -1e30]])).data
         assert np.all(np.isfinite(big))
+
+
+def attention_chain(scores, key_mask, scale):
+    """The attention probabilities as three tape ops, the reference the
+    fused `row_softmax(..., key_mask=, scale=)` must equal bit for bit."""
+    return row_softmax(masked_fill(mul(scores, scale), key_mask))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_attention_softmax_equals_the_three_op_chain(dtype):
+    rng = np.random.default_rng(13)
+    x = rng.normal(scale=3.0, size=(2, 3, 5, 6))
+    weights = rng.normal(size=x.shape)
+    key_mask = rng.random((2, 1, 1, 6)) < 0.4
+    key_mask[0, 0, 0, :] = True  # every key of one batch row masked
+    key_mask[1, 0, 0, 0] = False
+    scale = 1.0 / math.sqrt(5.0)
+    results = []
+    with use_dtype(dtype):
+        for probs in (lambda s: attention_chain(s, key_mask, scale),
+                      lambda s: row_softmax(s, key_mask=key_mask, scale=scale)):
+            s = param(x, "scores")
+            out = probs(s)
+            data = out.data.copy()
+            backward(total_sum(mul(out, Tensor(weights))))
+            results.append((data, s.grad))
+    (chain_data, chain_grad), (fused_data, fused_grad) = results
+    assert fused_data.dtype == fused_grad.dtype == dtype
+    assert np.array_equal(fused_data, chain_data)
+    assert np.array_equal(fused_grad, chain_grad)
+    assert np.all(fused_grad[0] == 0.0)  # every key masked: no gradient reaches the scores
+
+
+def test_fused_attention_softmax_passes_grad_check():
+    rng = np.random.default_rng(14)
+    key_mask = np.array([[False, True, False, False, True]])
+    with use_dtype(np.float64):
+        s = param(rng.normal(size=(3, 5)), "scores")
+        weights = Tensor(rng.normal(size=(3, 5)))
+        report = grad_check(
+            lambda: total_sum(mul(row_softmax(s, key_mask=key_mask, scale=0.7), weights)),
+            {"scores": s},
+        )
+    assert report.passed, report.lines()
+    with pytest.raises(ShapeError, match="key_mask"):
+        row_softmax(Tensor(np.zeros((3, 5))), key_mask=np.zeros(4, dtype=bool))
 
 
 def test_layer_norm_constant_row_is_near_zero():
@@ -185,6 +232,54 @@ def test_backward_is_deterministic():
             return table.grad.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_backward_releases_the_graph_and_skips_constants():
+    with use_dtype(np.float64):
+        w = param(np.array([[1.0, -2.0], [3.0, 0.5]]), "w")
+        mask = Tensor(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        consts = [Tensor(np.ones((2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4))]
+        hidden = mul(matmul(w, w), mask)
+        joined = concat([add(hidden, consts[0]), consts[0]], axis=-1)
+        loss = total_sum(layer_norm(joined, consts[1], consts[2]))
+        backward(loss)
+        assert mask.grad is None and all(c.grad is None for c in consts)
+        for node in (hidden, joined, loss):
+            assert node.grad is None and node._parents == ()
+        assert w.grad.shape == (2, 2)
+        assert np.isfinite(loss.data)
+        # a new graph through a released node would stop w's gradient there
+        with pytest.raises(NumericError, match="already released"):
+            backward(total_sum(mul(hidden, 3.0)))
+
+
+def test_backward_without_a_tape_raises():
+    """A loss built under no_grad, or one an earlier backward released,
+    would otherwise leave stale gradients for the optimizer."""
+    with use_dtype(np.float64):
+        w = param(np.ones(3), "w")
+        with no_grad():
+            untaped = total_sum(mul(w, 2.0))
+        with pytest.raises(NumericError, match="no tape"):
+            backward(untaped)
+        loss = total_sum(mul(w, 2.0))
+        backward(loss)
+        first = w.grad
+        with pytest.raises(NumericError, match="already released"):
+            backward(loss)
+        assert w.grad is first
+
+
+def test_no_grad_records_nothing_and_restores_the_flag():
+    with use_dtype(np.float64):
+        w = param(np.arange(4.0).reshape(2, 2), "w")
+        with no_grad():
+            out = gelu(matmul(w, w))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert np.array_equal(out.data, gelu(matmul(w, w)).data)
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError("inside")
+        assert matmul(w, w)._parents == (w, w)
 
 
 def test_masked_fill_blocks_gradient():
