@@ -77,12 +77,21 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
     return x
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout via a constant mask; identity when rng is None."""
+def _keep_mask(
+    shape: tuple[int, ...], rate: float, rng: Optional[np.random.Generator], dtype: np.dtype
+) -> tuple[Optional[np.ndarray], float]:
+    """A boolean dropout mask drawn from `rng` and the scale its kept
+    entries take; (None, 1.0) when rng is None or the rate is 0."""
     if rng is None or rate <= 0.0:
-        return x
-    keep, dt = 1.0 - rate, x.data.dtype.type
-    return nc.mul(x, Tensor(np.where(rng.random(x.data.shape) < keep, dt(1) / dt(keep), dt(0))))
+        return None, 1.0
+    keep, dt = 1.0 - rate, dtype.type
+    return rng.random(shape) < keep, dt(1) / dt(keep)
+
+
+def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout via a boolean mask; identity when rng is None."""
+    keep, scale = _keep_mask(x.data.shape, rate, rng, x.data.dtype)
+    return x if keep is None else nc.drop(x, keep, scale)
 
 
 class EncoderBranch:
@@ -149,18 +158,17 @@ def _attention(
     heads, dh = cfg.n_heads, cfg.d_head
 
     def project(tag: str) -> Tensor:
-        y = nc.add(nc.matmul(x, p[f"layer{i}.attn.w{tag}"]), p[f"layer{i}.attn.b{tag}"])
+        y = nc.matmul(x, p[f"layer{i}.attn.w{tag}"], bias=p[f"layer{i}.attn.b{tag}"])
         y = nc.reshape(y, (batch, seq_len, heads, dh))
         return nc.transpose(y, (0, 2, 1, 3))
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = nc.matmul(q, nc.transpose(k, (0, 1, 3, 2)))
     key_mask = (np.asarray(attention_mask) == 0).reshape(batch, 1, 1, seq_len)
-    weights = nc.row_softmax(scores, key_mask=key_mask, scale=1.0 / math.sqrt(dh))
-    weights = dropout(weights, cfg.dropout_rate, rng)
-    ctx = nc.transpose(nc.matmul(weights, v), (0, 2, 1, 3))
-    ctx = nc.reshape(ctx, (batch, seq_len, d))
-    return nc.add(nc.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
+    keep, keep_scale = _keep_mask(
+        (batch, heads, seq_len, seq_len), cfg.dropout_rate, rng, x.data.dtype)
+    ctx = nc.attention(q, k, v, key_mask, 1.0 / math.sqrt(dh), keep, keep_scale)
+    ctx = nc.reshape(nc.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, d))
+    return nc.matmul(ctx, p[f"layer{i}.attn.wo"], bias=p[f"layer{i}.attn.bo"])
 
 
 def encode(
@@ -188,8 +196,8 @@ def encode(
         attn = dropout(_attention(branch, i, normed, mask, rng), branch.cfg.dropout_rate, rng)
         h = nc.add(h, attn)
         normed = nc.layer_norm(h, p[f"layer{i}.ln2.gain"], p[f"layer{i}.ln2.bias"])
-        ff = nc.add(nc.matmul(normed, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"])
-        ff = nc.add(nc.matmul(nc.gelu(ff), p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
+        ff = nc.matmul(normed, p[f"layer{i}.ffn.w1"], bias=p[f"layer{i}.ffn.b1"])
+        ff = nc.matmul(nc.gelu(ff), p[f"layer{i}.ffn.w2"], bias=p[f"layer{i}.ffn.b2"])
         h = nc.add(h, dropout(ff, branch.cfg.dropout_rate, rng))
     return h
 
@@ -303,7 +311,7 @@ def _forward(
     for j in range(0, len(layers), 2):
         if j:
             h = dropout(nc.gelu(h), rate, rng)
-        h = nc.add(nc.matmul(h, layers[j]), layers[j + 1])
+        h = nc.matmul(h, layers[j], bias=layers[j + 1])
     return h
 
 

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode differentiation on a tape.
 
 Just enough operator surface for the encoder: broadcast add/mul, batched
-matmul, reshape/transpose, row softmax, layer norm, gelu, embedding
-lookup, masked fill, select/concat and cross entropy.  Forward ops guard
-against overflow (softmax max subtraction, layer-norm epsilon), so finite
-inputs give finite outputs.
+matmul with an optional bias, reshape/transpose, row softmax, fused
+attention, boolean-mask dropout, layer norm, gelu, embedding lookup,
+masked fill, select/concat and cross entropy.  Forward ops guard against
+overflow (softmax max subtraction, layer-norm epsilon), so finite inputs
+give finite outputs.
 
 Training runs in float32; verification (finite differences) runs under
 `use_dtype(np.float64)`.  Ops record a node only for outputs that need a
@@ -157,7 +158,12 @@ def mul(a: Union[Tensor, float], b: Union[Tensor, float]) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """`a @ b`, plus `bias` (broadcast over the leading axes) added in place.
+
+    Bit for bit `add(matmul(a, b), bias)`, without a second node that
+    keeps the product on the tape.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs 2-D+ operands, got {a.data.shape} and {b.data.shape}")
@@ -167,14 +173,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: cannot broadcast {a.data.shape} with {b.data.shape}") from None
+    parents: tuple[Tensor, ...] = (a, b)
+    if bias is not None:
+        try:
+            data += bias.data
+        except ValueError:
+            raise ShapeError(f"matmul: bias {bias.data.shape} does not fit {data.shape}") from None
+        parents = (a, b, bias)
 
     def backward(g: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias.grad += _unbroadcast(g, bias.data.shape)
         if a.requires_grad:
             a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
         if b.requires_grad:
             b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
 
-    return _node(data, (a, b), backward)
+    return _node(data, parents, backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -210,12 +225,11 @@ def select(a: Tensor, index: int, axis: int) -> Tensor:
         raise ShapeError(f"select: index {index} out of range for shape {a.data.shape} axis {axis}")
     data = np.take(a.data, index, axis=axis)
 
+    sl = [slice(None)] * a.data.ndim
+    sl[axis] = index
+
     def backward(g: np.ndarray) -> None:
-        expanded = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        expanded[tuple(sl)] = g
-        a.grad += expanded
+        a.grad[tuple(sl)] += g
 
     return _node(data, (a,), backward)
 
@@ -240,43 +254,121 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _node(data, tuple(tensors), backward)
 
 
-def row_softmax(
-    a: Tensor, key_mask: Optional[np.ndarray] = None, scale: Optional[float] = None
-) -> Tensor:
-    """Softmax over the last axis, with max subtraction for stability.
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of `x`, in place, with max subtraction
+    for stability; returns `x`."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
-    Attention probabilities in one node: the logits are first multiplied
-    by `scale`, then entries where `key_mask` is true are set to
-    MASK_FILL_VALUE.  Data and gradient are bit for bit those of
-    `row_softmax(masked_fill(mul(a, scale), key_mask))`.
-    """
-    x = a.data
-    if scale is not None:
-        scale = x.dtype.type(scale)
-        x = x * scale
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        try:
-            np.broadcast_to(key_mask, x.shape)
-        except ValueError:
-            raise ShapeError(
-                f"row_softmax: key_mask {key_mask.shape} does not broadcast to {x.shape}"
-            ) from None
-        x = np.where(key_mask, x.dtype.type(MASK_FILL_VALUE), x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+
+def _softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The gradient reaching the logits of `probs = _softmax(x)`."""
+    inner = (g * probs).sum(axis=-1, keepdims=True)
+    return (g - inner) * probs
+
+
+def row_softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, with max subtraction for stability."""
+    data = _softmax(a.data.copy())
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        gx = (g - inner) * data
-        if key_mask is not None:
-            np.copyto(gx, 0.0, where=key_mask)
-        if scale is not None:
-            gx *= scale
-        a.grad += gx
+        a.grad += _softmax_grad(g, data)
 
     return _node(data, (a,), backward)
+
+
+def drop(x: Tensor, keep: np.ndarray, scale: float) -> Tensor:
+    """Inverted dropout: `x` times `scale` where the boolean `keep` is true,
+    0 elsewhere.
+
+    Bit for bit `mul(x, Tensor(np.where(keep, scale, 0)))`, but the tape
+    keeps the 1-byte mask and rebuilds the multiplier in backward.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != x.data.shape:
+        raise ShapeError(f"drop: mask {keep.shape} does not match {x.data.shape}")
+    dt = x.data.dtype.type
+    scale = dt(scale)
+    data = x.data * np.where(keep, scale, dt(0))
+
+    def backward(g: np.ndarray) -> None:
+        x.grad += g * np.where(keep, scale, dt(0))
+
+    return _node(data, (x,), backward)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    key_mask: np.ndarray,
+    scale: float,
+    keep: Optional[np.ndarray] = None,
+    keep_scale: float = 1.0,
+) -> Tensor:
+    """Scaled dot-product attention, `dropout(softmax(mask(scale * q k^T))) @ v`,
+    in one node.
+
+    Keys where `key_mask` is true get the logit MASK_FILL_VALUE; `keep`,
+    when given, is the boolean dropout mask over the probabilities, whose
+    kept entries are multiplied by `keep_scale`.  The tape keeps only the
+    probabilities and `keep`: backward rebuilds the dropped weights.  Data
+    and gradients are bit for bit those of the chain `matmul(q,
+    transpose(k))` -> `mul(scale)` -> `masked_fill` -> `row_softmax` ->
+    `drop` -> `matmul(., v)`.
+    """
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    try:
+        np.broadcast_shapes(qs[:-2], ks[:-2], vs[:-2])
+        fits = len(qs) == len(ks) == len(vs) >= 2 and qs[-1] == ks[-1] and ks[-2] == vs[-2]
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"attention: q {qs}, k {ks} and v {vs} disagree")
+    x = q.data @ np.swapaxes(k.data, -1, -2)
+    dt = x.dtype.type
+    scale = dt(scale)
+    x *= scale
+    key_mask = np.asarray(key_mask, dtype=bool)
+    try:
+        np.copyto(x, dt(MASK_FILL_VALUE), where=key_mask)
+    except ValueError:
+        raise ShapeError(f"attention: key_mask {key_mask.shape} does not broadcast to {x.shape}") from None
+    probs = _softmax(x)
+    if keep is None:
+        weights = probs
+    else:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != probs.shape:
+            raise ShapeError(f"attention: dropout mask {keep.shape} does not match {probs.shape}")
+        keep_scale = dt(keep_scale)
+        weights = probs * np.where(keep, keep_scale, dt(0))
+    data = weights @ v.data
+
+    def backward(g: np.ndarray) -> None:
+        mult = None if keep is None else np.where(keep, keep_scale, dt(0))
+        if v.requires_grad:
+            weights = probs if mult is None else probs * mult
+            v.grad += _unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape)
+            del weights
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        if mult is not None:
+            gp *= mult
+        gx = _softmax_grad(gp, probs)
+        np.copyto(gx, 0.0, where=key_mask)
+        gx *= scale
+        if q.requires_grad:
+            q.grad += _unbroadcast(gx @ k.data, q.data.shape)
+        if k.requires_grad:
+            # transposed after the product, as the chain's transpose(k) node did
+            gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gx, -1, -2)
+            k.grad += _unbroadcast(gk, k.data.shape)
+
+    return _node(data, (q, k, v), backward)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float = MASK_FILL_VALUE) -> Tensor:

@@ -29,7 +29,7 @@ from meder.model import (
     save_checkpoint,
     trunc_normal,
 )
-from meder.numcore import Tensor, backward, cross_entropy, grad_check, no_grad, use_dtype
+from meder.numcore import Tensor, backward, cross_entropy, grad_check, mul, no_grad, use_dtype
 from meder.pairseq import PairBatch, batchify, build_both
 
 from helpers import uncut_cls
@@ -102,14 +102,22 @@ def test_dropout_scales_kept_entries():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dropout_mask_is_a_constant_with_the_cast_and_divide_bits(dtype):
+    """The boolean mask keeps the bits of the float mask it replaced:
+    output and gradient equal a `mul` by `where(draw < keep, 1/keep, 0)`
+    in the working dtype, and no float mask is a parent."""
+    x0 = np.random.default_rng(1).normal(size=(6, 7))
+    labels = np.zeros(6, dtype=np.int64)
+    draw = np.random.default_rng(5).random((6, 7))
+    float_mask = np.where(draw < 0.7, dtype(1) / dtype(0.7), dtype(0))
     with use_dtype(dtype):
-        x = Tensor(np.random.default_rng(1).normal(size=(6, 7)), requires_grad=True)
+        x = Tensor(x0, requires_grad=True)
         y = dropout(x, 0.3, np.random.default_rng(5))
-        mask = y._parents[1]
-        keep = (np.random.default_rng(5).random((6, 7)) < 0.7).astype(dtype) / dtype(0.7)
-        assert mask.data.dtype == dtype and np.array_equal(mask.data, keep)
-        backward(cross_entropy(y, np.zeros(6, dtype=np.int64)))
-    assert mask.grad is None and x.grad is not None
+        assert y.data.dtype == dtype and np.array_equal(y.data, x.data * float_mask)
+        assert y._parents == (x,)
+        backward(cross_entropy(y, labels))
+        ref = Tensor(x0, requires_grad=True)
+        backward(cross_entropy(mul(ref, Tensor(float_mask)), labels))
+    assert np.array_equal(x.grad, ref.grad)
 
 
 def test_embed_matches_per_position_gather():
@@ -372,6 +380,30 @@ def test_a_spent_loss_holds_no_tape():
         tracemalloc.stop()
     assert np.isfinite(loss.data)
     assert held <= 2 * param_bytes, (held, param_bytes)
+
+
+def test_a_training_forward_keeps_no_attention_scores_or_float_masks():
+    """Each attention node keeps its float32 probabilities and a boolean
+    dropout mask (5 bytes an entry), not the scores, a float mask or the
+    dropped weights.  Every row is 64 wide, so no column is cut; all a
+    training forward holds, [B, L, d] arrays included, is about 10.9
+    bytes an entry, and one more float32 [B, H, L, L] array (4) or a
+    float mask in place of the boolean one (3) breaks the bound of 12."""
+    cfg = toy_config(max_len=64, dropout_rate=0.1)
+    model = Classifier(cfg, "ensemble")
+    text = [4 + i % 16 for i in range(50)]
+    pairs = [build_both(text, [4 + i] * 11, max_len=64, label_id=i % 6) for i in range(8)]
+    batch = batchify(pairs, batch_size=8)[0]
+    entries = 8 * cfg.n_heads * 64 * 64 * cfg.n_layers * len(model.branches)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy(forward_batch(model, batch, np.random.default_rng(0)), batch.labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held <= 12 * entries, held / entries
 
 
 def test_inference_is_deterministic_and_dropout_rng_is_live():

@@ -10,6 +10,7 @@ from meder.errors import NumericError, ShapeError
 from meder.numcore import (
     Tensor,
     add,
+    attention,
     backward,
     concat,
     cross_entropy,
@@ -96,50 +97,84 @@ def test_row_softmax_rows_sum_to_one_and_shift_invariance():
         assert np.all(np.isfinite(big))
 
 
-def attention_chain(scores, key_mask, scale):
-    """The attention probabilities as three tape ops, the reference the
-    fused `row_softmax(..., key_mask=, scale=)` must equal bit for bit."""
-    return row_softmax(masked_fill(mul(scores, scale), key_mask))
+def attention_chain(q, k, v, key_mask, scale, float_mask):
+    """Attention as separate tape ops with a float dropout mask, the
+    reference `attention` must equal bit for bit."""
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
+    probs = row_softmax(masked_fill(scores, key_mask))
+    if float_mask is not None:
+        probs = mul(probs, Tensor(float_mask))
+    return matmul(probs, v)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_attention_softmax_equals_the_three_op_chain(dtype):
     rng = np.random.default_rng(13)
-    x = rng.normal(scale=3.0, size=(2, 3, 5, 6))
-    weights = rng.normal(size=x.shape)
+    qkv = [rng.normal(scale=2.0, size=(2, 3, n, 4)) for n in (5, 6, 6)]
+    weights = rng.normal(size=(2, 3, 5, 4))
     key_mask = rng.random((2, 1, 1, 6)) < 0.4
     key_mask[0, 0, 0, :] = True  # every key of one batch row masked
     key_mask[1, 0, 0, 0] = False
-    scale = 1.0 / math.sqrt(5.0)
-    results = []
-    with use_dtype(dtype):
-        for probs in (lambda s: attention_chain(s, key_mask, scale),
-                      lambda s: row_softmax(s, key_mask=key_mask, scale=scale)):
-            s = param(x, "scores")
-            out = probs(s)
-            data = out.data.copy()
-            backward(total_sum(mul(out, Tensor(weights))))
-            results.append((data, s.grad))
-    (chain_data, chain_grad), (fused_data, fused_grad) = results
-    assert fused_data.dtype == fused_grad.dtype == dtype
-    assert np.array_equal(fused_data, chain_data)
-    assert np.array_equal(fused_grad, chain_grad)
-    assert np.all(fused_grad[0] == 0.0)  # every key masked: no gradient reaches the scores
+    draw = rng.random((2, 3, 5, 6))
+    scale = 1.0 / math.sqrt(4.0)
+    keep_scale = dtype(1) / dtype(0.7)
+    for keep in (None, draw < 0.7):
+        float_mask = None if keep is None else np.where(keep, keep_scale, dtype(0))
+        results = []
+        with use_dtype(dtype):
+            for attend in (
+                lambda q, k, v: attention_chain(q, k, v, key_mask, scale, float_mask),
+                lambda q, k, v: attention(q, k, v, key_mask, scale, keep, keep_scale),
+            ):
+                q, k, v = (param(x, name) for x, name in zip(qkv, "qkv"))
+                out = attend(q, k, v)
+                data = out.data.copy()
+                backward(total_sum(mul(out, Tensor(weights))))
+                results.append((data, q.grad, k.grad, v.grad))
+        chain, fused = results
+        assert all(a.dtype == dtype for a in fused)
+        for want, got in zip(chain, fused):
+            assert np.array_equal(got, want)
+        # every key masked: no gradient reaches that row's queries or keys
+        assert np.all(fused[1][0] == 0.0) and np.all(fused[2][0] == 0.0)
 
 
 def test_fused_attention_softmax_passes_grad_check():
     rng = np.random.default_rng(14)
-    key_mask = np.array([[False, True, False, False, True]])
+    key_mask = np.array([False, True, False, False, True])
+    keep = rng.random((2, 3, 5)) < 0.7
     with use_dtype(np.float64):
-        s = param(rng.normal(size=(3, 5)), "scores")
-        weights = Tensor(rng.normal(size=(3, 5)))
+        q, k, v = (param(rng.normal(size=(2, n, 4)), name) for n, name in ((3, "q"), (5, "k"), (5, "v")))
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
         report = grad_check(
-            lambda: total_sum(mul(row_softmax(s, key_mask=key_mask, scale=0.7), weights)),
-            {"scores": s},
+            lambda: total_sum(mul(attention(q, k, v, key_mask, 0.7, keep, 1 / 0.7), weights)),
+            {"q": q, "k": k, "v": v},
         )
     assert report.passed, report.lines()
     with pytest.raises(ShapeError, match="key_mask"):
-        row_softmax(Tensor(np.zeros((3, 5))), key_mask=np.zeros(4, dtype=bool))
+        attention(q, k, v, np.zeros(4, dtype=bool), 0.7)
+    with pytest.raises(ShapeError, match="dropout mask"):
+        attention(q, k, v, key_mask, 0.7, keep[:, :2])
+    with pytest.raises(ShapeError, match="disagree"):
+        attention(q, k, Tensor(np.zeros((2, 4, 4))), key_mask, 0.7)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_bias_equals_a_separate_add(dtype):
+    rng = np.random.default_rng(15)
+    arrays = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    weights = rng.normal(size=(2, 3, 5))
+    results = []
+    with use_dtype(dtype):
+        for affine in (lambda a, b, c: add(matmul(a, b), c), lambda a, b, c: matmul(a, b, bias=c)):
+            ts = [param(x, name) for x, name in zip(arrays, "abc")]
+            out = affine(*ts)
+            backward(total_sum(mul(out, Tensor(weights))))
+            results.append([out.data] + [t.grad for t in ts])
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(*ts[:2], bias=Tensor(np.zeros(4)))
+    for want, got in zip(*results):
+        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 def test_layer_norm_constant_row_is_near_zero():
