@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -215,11 +215,36 @@ def _corpus_path(rc: RunConfig) -> Path:
     return data_path(SAMPLE_CORPUS_FILE)
 
 
-def _for_writing(path: Path) -> Path:
-    """`path` with its directory created; a command calls this only once
-    it is about to write, so a failed command leaves nothing behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _publish(outputs: dict[Path, Callable[[Path], object]]) -> None:
+    """Write all of a command's outputs or none: each `writer(partial)`
+    writes a temporary file beside its target, and only once every
+    writer has succeeded are they renamed into place.  A target that is
+    a directory is refused before anything is created or written."""
+    for target in outputs:
+        if target.is_dir():
+            raise DataError(f"{target} is a directory")
+    partials = {}
+    try:
+        for target, writer in outputs.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            partials[target] = target.with_name(f".{target.name}.{os.getpid()}.partial")
+            writer(partials[target])
+        for target, partial in partials.items():
+            os.replace(partial, target)
+    finally:
+        for partial in partials.values():
+            partial.unlink(missing_ok=True)
+
+
+def _refuse_overlap(inputs: dict[str, str], outputs: dict[str, Path]) -> None:
+    """Refuse outputs that name an input or each other, since one file
+    would silently replace the other.  Both map a role to a path; an
+    empty input path (the bundled sample) is skipped."""
+    seen = {Path(p).resolve(): role for role, p in inputs.items() if p}
+    for role, path in outputs.items():
+        other = seen.setdefault(path.resolve(), role)
+        if other != role:
+            raise UsageError(f"{path} is both the {other} and the {role}")
 
 
 def _prep_config(rc: RunConfig) -> PrepConfig:
@@ -267,10 +292,9 @@ def _induce_vocab(rc: RunConfig, records, prep_cfg: PrepConfig, labels: LabelSet
     return train_vocab(token_lists, rc.target_size, rc.min_freq)
 
 
-def _write_vocab(rc: RunConfig, vocab: Vocab) -> None:
-    path = _for_writing(_vocab_path(rc))
-    save_vocab(vocab, path)
-    print(f"vocab: {len(vocab)} tokens (target {rc.target_size}, min_freq {rc.min_freq}) -> {path}")
+def _vocab_line(rc: RunConfig, vocab: Vocab) -> str:
+    return (f"vocab: {len(vocab)} tokens (target {rc.target_size}, min_freq {rc.min_freq})"
+            f" -> {_vocab_path(rc)}")
 
 
 def _model_config(rc: RunConfig, vocab_size: int, n_classes: int) -> ModelConfig:
@@ -363,8 +387,8 @@ def cmd_prepare(rc: RunConfig) -> int:
     if not kept:
         reasons = "; ".join(f"{dropped[r]} {r}" for r in sorted(dropped)) or "no data rows"
         raise DataError(f"{src}: no usable rows (dropped {reasons})")
-    out_path = _for_writing(Path(rc.out_dir) / "corpus.jsonl")
-    write_corpus(kept, out_path)
+    out_path = Path(rc.out_dir) / "corpus.jsonl"
+    _publish({out_path: lambda p: write_corpus(kept, p)})
     print(f"kept {len(kept)} records -> {out_path}")
     for reason in sorted(dropped):
         print(f"dropped {dropped[reason]}: {reason}")
@@ -399,18 +423,22 @@ def cmd_stats(rc: RunConfig) -> int:
 
 def cmd_vocab(rc: RunConfig) -> int:
     """Train and write the subword vocabulary."""
+    _refuse_overlap({"input corpus": rc.corpus, "input labels": rc.labels},
+                    {"vocab": _vocab_path(rc)})
     labels = _labels(rc)
     records = load_corpus(_corpus_path(rc), labels)
-    _write_vocab(rc, _induce_vocab(rc, split(records, _split_spec(rc))[0], _prep_config(rc), labels))
+    vocab = _induce_vocab(rc, split(records, _split_spec(rc))[0], _prep_config(rc), labels)
+    _publish({_vocab_path(rc): lambda p: save_vocab(vocab, p)})
+    print(_vocab_line(rc, vocab))
     return 0
 
 
 def _training_inputs(rc: RunConfig) -> tuple[PreparedData, ModelConfig, Vocab]:
     """Check the model settings, load and split the corpus, read the
     vocab --vocab names or induce one from the train split, pack every
-    split, and size the model config to the vocab and label set.  The
-    caller writes an induced vocab only once its own work has
-    succeeded."""
+    split, and size the model config to the vocab and label set.
+    Nothing is written here: an induced vocab reaches disk only in the
+    caller's one `_publish`."""
     labels = _labels(rc)
     # a bad model setting fails before any work; the vocab size comes last
     mc = _model_config(rc, len(SPECIALS), len(labels))
@@ -430,6 +458,11 @@ def _metric(value: float) -> str:
 
 def cmd_train(rc: RunConfig) -> int:
     """Train a model and write checkpoint + history."""
+    ckpt, history_path = _checkpoint_path(rc), Path(rc.out_dir) / "history.json"
+    _refuse_overlap({"input corpus": rc.corpus, "input labels": rc.labels,
+                     "input vocab": rc.vocab},
+                    {"checkpoint": ckpt, "history": history_path,
+                     **({} if rc.vocab else {"vocab": _vocab_path(rc)})})
     train_cfg = _train_config(rc)
     data, mc, vocab = _training_inputs(rc)
     model = Classifier(mc, rc.arm)
@@ -442,12 +475,13 @@ def cmd_train(rc: RunConfig) -> int:
             f"train_acc={rec.train_accuracy:.4f} val_loss={_metric(rec.val_loss)} "
             f"val_acc={_metric(rec.val_accuracy)}"
         )
-    ckpt = _checkpoint_path(rc)
-    save_checkpoint(model, _for_writing(ckpt))
-    history_path = _for_writing(Path(rc.out_dir) / "history.json")
-    history_path.write_text(history.to_json(), encoding="utf-8")
+    outputs = {ckpt: lambda p: save_checkpoint(model, p),
+               history_path: lambda p: p.write_text(history.to_json(), encoding="utf-8")}
     if not rc.vocab:
-        _write_vocab(rc, vocab)
+        outputs[_vocab_path(rc)] = lambda p: save_vocab(vocab, p)
+    _publish(outputs)
+    if not rc.vocab:
+        print(_vocab_line(rc, vocab))
     best_val = max((r.val_accuracy for r in history.records), default=float("nan"))
     print(f"best val accuracy: {_metric(best_val)}")
     print(f"checkpoint: {ckpt}")
@@ -474,6 +508,10 @@ def _trained_artefacts(rc: RunConfig) -> tuple[Classifier, Vocab, LabelSet]:
 
 def cmd_eval(rc: RunConfig) -> int:
     """Evaluate a checkpoint on the test split."""
+    out = Path(rc.out_dir)
+    _refuse_overlap({"input corpus": rc.corpus, "input labels": rc.labels,
+                     "checkpoint": str(_checkpoint_path(rc)), "vocab": str(_vocab_path(rc))},
+                    {"report": out / "report.json", "confusion": out / "confusion.csv"})
     model, vocab, labels = _trained_artefacts(rc)
     records = load_corpus(_corpus_path(rc), labels)
     test_records = split(records, _split_spec(rc))[2]
@@ -485,9 +523,8 @@ def cmd_eval(rc: RunConfig) -> int:
     rendered = render(cm, labels.names)
     print(rendered.table_text)
     print(rendered.confusion_csv, end="")
-    out = Path(rc.out_dir)
-    _for_writing(out / "report.json").write_text(rendered.report_json, encoding="utf-8")
-    (out / "confusion.csv").write_text(rendered.confusion_csv, encoding="utf-8")
+    _publish({out / "report.json": lambda p: p.write_text(rendered.report_json, encoding="utf-8"),
+              out / "confusion.csv": lambda p: p.write_text(rendered.confusion_csv, encoding="utf-8")})
     print(f"report: {out / 'report.json'}")
     print(f"confusion: {out / 'confusion.csv'}")
     return 0
@@ -513,7 +550,7 @@ def cmd_predict(rc: RunConfig, text: Optional[str], entity: Optional[str]) -> in
 def cmd_compare(rc: RunConfig) -> int:
     """Train single and ensemble arms, report deltas."""
     train_cfg = _train_config(rc)
-    data, mc, vocab = _training_inputs(rc)
+    data, mc, _ = _training_inputs(rc)
     report = compare(mc, data, train_cfg)
     for arm in ("single", "ensemble"):
         a = report.arms[arm]
@@ -525,10 +562,8 @@ def cmd_compare(rc: RunConfig) -> int:
         "delta (ensemble - single): "
         + " ".join(f"{k}={report.deltas[k]:+.4f}" for k in ("accuracy", "micro_f1", "macro_f1"))
     )
-    out_path = _for_writing(Path(rc.out_dir) / "comparison.json")
-    out_path.write_text(report.to_json(), encoding="utf-8")
-    if not rc.vocab:
-        _write_vocab(rc, vocab)
+    out_path = Path(rc.out_dir) / "comparison.json"
+    _publish({out_path: lambda p: p.write_text(report.to_json(), encoding="utf-8")})
     print(f"report: {out_path}")
     return 0
 

@@ -1,6 +1,10 @@
 """Helpers shared by several test modules: a sum loss for gradient
-checks, the comparison report's JSON Schema, and the uncut encoder
-reference that the padding oracles compare against."""
+checks, the comparison report's JSON Schema, the uncut encoder
+reference that the padding oracles compare against, and a snapshot of
+a directory tree for the CLI's all-or-none checks."""
+
+import stat
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +28,19 @@ def uncut_cls(branch, input_ids, segment_ids, attention_mask, rng=None):
     drop-in for `meder.model.encode_cls` without its cut."""
     return select(encode(branch, embed(branch, input_ids, segment_ids), attention_mask, rng),
                   0, axis=1)
+
+
+def tree_snapshot(root: Path) -> dict:
+    """Every entry under `root` by relative path: its mode, and its bytes
+    if it is a file.  Two snapshots are equal only when no entry was
+    added, removed, rewritten or re-permissioned, temporary files
+    included."""
+    entries = {}
+    for path in sorted(root.rglob("*")):
+        mode = path.lstat().st_mode
+        entries[str(path.relative_to(root))] = (
+            mode, path.read_bytes() if stat.S_ISREG(mode) else None)
+    return entries
 
 
 COMPARISON_JSON_SCHEMA = {

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,12 @@ import pytest
 
 import meder
 from meder.bundled import SAMPLE_CORPUS_FILE, SAMPLE_LABELS_FILE, data_path
-from meder.cli import COMMANDS, RunConfig, _build_parser, load_run_config, main
+from meder.cli import COMMANDS, RunConfig, _build_parser, _publish, load_run_config, main
 from meder.corpus import LabelSet, SplitSpec, load_corpus, split, split_fingerprint
 from meder.model import Classifier, ModelConfig, load_checkpoint, save_checkpoint
 from meder.tokenizer import load_vocab
 
-from helpers import COMPARISON_JSON_SCHEMA
+from helpers import COMPARISON_JSON_SCHEMA, tree_snapshot
 
 LABELS = LabelSet.from_file(data_path(SAMPLE_LABELS_FILE))
 
@@ -426,6 +427,140 @@ def test_compare_writes_a_valid_report(tmp_path, capsys):
     assert "delta (ensemble - single): accuracy=" in text_out
     payload = json.loads((tmp_path / "out" / "comparison.json").read_text(encoding="utf-8"))
     jsonschema.validate(payload, COMPARISON_JSON_SCHEMA)
+    assert "vocab:" not in text_out
+    assert sorted(os.listdir(out)) == ["comparison.json"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """An out-dir after `train` then `eval` at the SMALL config."""
+    out = tmp_path_factory.mktemp("trained") / "out"
+    assert main(["train", "--out-dir", str(out), *SMALL]) == 0
+    assert main(["eval", "--out-dir", str(out), *SMALL]) == 0
+    return out
+
+
+def _write_export(path):
+    """A small CSV export of the sample corpus for `prepare`."""
+    with path.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["text", "entity", "label"])
+        for r in load_corpus(data_path(SAMPLE_CORPUS_FILE), LABELS)[:6]:
+            writer.writerow([r.text, r.entity, r.label])
+
+
+@pytest.mark.parametrize("command, output", [
+    ("prepare", "corpus.jsonl"), ("vocab", "vocab.txt"), ("train", "model.ckpt"),
+    ("train", "history.json"), ("train", "vocab.txt"), ("compare", "comparison.json"),
+    ("eval", "report.json"), ("eval", "confusion.csv"),
+])
+def test_a_command_that_cannot_write_one_output_writes_none(trained, tmp_path, capsys,
+                                                            command, output):
+    """Any one output that is a directory makes the command a data error
+    that leaves the tree as it was: no file replaced, no temporary left."""
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    export = tmp_path / "export.csv"
+    _write_export(export)
+    target = out / output
+    if target.exists():
+        target.unlink()
+    target.mkdir()
+    (target / "keep").write_text("x", encoding="utf-8")
+    before = tree_snapshot(tmp_path)
+    code, _, err = run(capsys, command, "--out-dir", str(out), "--input", str(export), *SMALL)
+    assert code == 2
+    assert err == f"data error: {target} is a directory\n"
+    assert tree_snapshot(tmp_path) == before
+
+
+def test_a_train_that_cannot_write_its_history_keeps_the_older_run(trained, tmp_path, capsys):
+    """With history.json a directory, a new train once exited 2 yet
+    replaced model.ckpt, and eval then read it through the older
+    same-size vocab.txt and exited 0.  Now the older pair stays whole."""
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    code, report_before, _ = run(capsys, "eval", "--out-dir", str(out))
+    assert code == 0
+    (out / "history.json").unlink()
+    (out / "history.json").mkdir()
+    before = tree_snapshot(tmp_path)
+    code, _, err = run(capsys, "train", "--out-dir", str(out), *SMALL, "--seed", "7")
+    assert code == 2 and err.startswith("data error:")
+    assert tree_snapshot(tmp_path) == before
+    code, report_after, _ = run(capsys, "eval", "--out-dir", str(out))
+    assert code == 0 and report_after == report_before
+
+
+def test_compare_into_a_trained_out_dir_adds_only_its_report(trained, tmp_path, capsys):
+    """compare writes no checkpoint, so a vocab.txt from it could only
+    ever be read beside another run's model.ckpt."""
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    before = tree_snapshot(out)
+    code, text_out, err = run(capsys, "compare", "--out-dir", str(out), *SMALL, "--no-stemming")
+    assert code == 0, err
+    assert "vocab:" not in text_out
+    after = tree_snapshot(out)
+    assert after.pop("comparison.json")
+    assert after == before
+
+
+def test_a_writer_that_fails_leaves_every_target_as_it_was(tmp_path):
+    old = tmp_path / "old.txt"
+    old.write_text("old", encoding="utf-8")
+
+    def half_then_fail(path):
+        path.write_text("half", encoding="utf-8")
+        raise OSError("disk full")
+
+    before = tree_snapshot(tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        _publish({old: lambda p: p.write_text("new", encoding="utf-8"),
+                  tmp_path / "new.txt": half_then_fail})
+    assert tree_snapshot(tmp_path) == before
+
+
+def test_published_files_have_the_mode_the_umask_gives(tmp_path, capsys):
+    out = tmp_path / "out"
+    umask = os.umask(0o027)
+    try:
+        for command in ("train", "eval"):
+            code, _, err = run(capsys, command, "--out-dir", str(out), *SMALL)
+            assert code == 0, err
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == dict.fromkeys(
+        ["model.ckpt", "history.json", "vocab.txt", "report.json", "confusion.csv"], 0o640)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("train", ("--out-dir", "same", "--checkpoint", "same/vocab.txt")),
+    ("train", ("--out-dir", "same", "--checkpoint", "same/sub/../history.json")),
+    ("train", ("--vocab", "v/vocab.txt", "--checkpoint", "v/vocab.txt")),
+    ("vocab", ("--vocab", "v/corpus.jsonl", "--corpus", "v/corpus.jsonl")),
+    ("eval", ("--out-dir", "v", "--checkpoint", "v/report.json")),
+])
+def test_outputs_that_name_an_input_or_each_other_are_refused(trained, tmp_path, capsys,
+                                                               command, argv):
+    """A usage error before any input is read (the corpus named last
+    does not exist), so nothing is printed or written."""
+    v = tmp_path / "v"
+    v.mkdir()
+    for name in ("vocab.txt", "model.ckpt"):
+        shutil.copy(trained / name, v / name)
+    shutil.copy(trained / "model.ckpt", v / "report.json")
+    shutil.copy(data_path(SAMPLE_CORPUS_FILE), v / "corpus.jsonl")
+    before = tree_snapshot(tmp_path)
+    argv = [a if a.startswith("--") else str(tmp_path / a) for a in argv]
+    if "--corpus" not in argv:
+        argv += ["--corpus", str(tmp_path / "missing.jsonl")]
+    code, text_out, err = run(capsys, command, *argv, *SMALL)
+    assert code == 1
+    assert err.startswith("usage error:") and " is both the " in err
+    assert text_out == ""
+    assert tree_snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
