@@ -26,7 +26,6 @@ from .corpus import (
     LabelSet,
     RawRecord,
     SplitSpec,
-    as_fraction,
     class_stats,
     count_entity_mismatches,
     load_corpus,
@@ -158,6 +157,9 @@ def load_run_config(path: Path, base: RunConfig) -> RunConfig:
             updates[key] = convert(value)
         except ValueError:
             raise DataError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
+        choices = by_name[key].metadata.get("choices")
+        if choices and updates[key] not in choices:
+            raise DataError(f"{path}:{lineno}: {key} must be one of {', '.join(choices)}, got {value!r}")
     return dataclasses.replace(base, **updates)
 
 
@@ -219,21 +221,30 @@ def _publish(outputs: dict[Path, Callable[[Path], object]]) -> None:
     """Write all of a command's outputs or none: each `writer(partial)`
     writes a temporary file beside its target, and only once every
     writer has succeeded are they renamed into place.  A target that is
-    a directory is refused before anything is created or written."""
+    a directory is refused before anything is created or written, and
+    a failed publish removes the directories it created."""
     for target in outputs:
         if target.is_dir():
             raise DataError(f"{target} is a directory")
-    partials = {}
+    partials, created, done = {}, [], False
     try:
         for target, writer in outputs.items():
+            # deepest first, ahead of those an earlier target created
+            created = [d for d in target.parents if not d.exists()] + created
             target.parent.mkdir(parents=True, exist_ok=True)
             partials[target] = target.with_name(f".{target.name}.{os.getpid()}.partial")
             writer(partials[target])
         for target, partial in partials.items():
             os.replace(partial, target)
+        done = True
     finally:
         for partial in partials.values():
             partial.unlink(missing_ok=True)
+        for d in [] if done else created:
+            try:
+                d.rmdir()
+            except OSError:  # not created after all, or not empty: the writer's error stands
+                pass
 
 
 def _refuse_overlap(inputs: dict[str, str], outputs: dict[str, Path]) -> None:
@@ -248,25 +259,19 @@ def _refuse_overlap(inputs: dict[str, str], outputs: dict[str, Path]) -> None:
 
 
 def _prep_config(rc: RunConfig) -> PrepConfig:
+    """--no-stopwords and --no-stemming empty that stage's data."""
     base = PrepConfig.default()
     return dataclasses.replace(
         base,
-        enable_stopwords=rc.enable_stopwords,
-        enable_stemming=rc.enable_stemming,
+        stopwords=base.stopwords if rc.enable_stopwords else frozenset(),
+        suffix_rules=base.suffix_rules if rc.enable_stemming else (),
         max_passes=rc.max_passes,
     )
 
 
 def _split_spec(rc: RunConfig) -> SplitSpec:
-    vf = as_fraction(rc.val_frac)
-    tf = as_fraction(rc.test_frac)
-    return SplitSpec(
-        train_frac=1 - vf - tf,
-        val_frac=vf,
-        test_frac=tf,
-        seed=rc.seed,
-        stratified=rc.stratified,
-    )
+    return SplitSpec(val_frac=rc.val_frac, test_frac=rc.test_frac, seed=rc.seed,
+                     stratified=rc.stratified)
 
 
 def _vocab_path(rc: RunConfig) -> Path:
@@ -589,7 +594,7 @@ def cmd_gradcheck(rc: RunConfig) -> int:
             logits = forward_batch(model, batch, rng=None)
             return cross_entropy(logits, batch.labels)
 
-        report = grad_check(loss_fn, model.parameters(), tolerance=1e-3, h=1e-4, seed=rc.seed)
+        report = grad_check(loss_fn, model.parameters(), seed=rc.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3

@@ -97,26 +97,27 @@ def as_fraction(value) -> Fraction:
         raise DataError(f"split fraction must be a finite number, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SplitSpec:
-    train_frac: Fraction
+    """The validation and test shares; train takes what they leave."""
+
     val_frac: Fraction
     test_frac: Fraction
     seed: int = 42
     stratified: bool = True
 
     def __post_init__(self) -> None:
-        for field in ("train_frac", "val_frac", "test_frac"):
-            object.__setattr__(self, field, as_fraction(getattr(self, field)))
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 for f in fracs):
-            raise DataError(f"split fractions must be non-negative, got {fracs}")
-        if sum(fracs) != 1:
-            raise DataError(f"split fractions must sum to exactly 1, got {fracs} (sum {sum(fracs)})")
+        for field in ("val_frac", "test_frac"):
+            frac = as_fraction(getattr(self, field))
+            if frac < 0:
+                raise DataError(f"{field} must be non-negative, got {frac}")
+            object.__setattr__(self, field, frac)
+        if self.val_frac + self.test_frac > 1:
+            raise DataError(f"val_frac {self.val_frac} + test_frac {self.test_frac} exceeds 1")
 
     @classmethod
     def default(cls) -> "SplitSpec":
-        return cls(Fraction(8, 10), Fraction(1, 10), Fraction(1, 10), seed=42, stratified=True)
+        return cls(val_frac=Fraction(1, 10), test_frac=Fraction(1, 10))
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,7 @@ def split(
     n_train = n - n_val - n_test
     if n_train <= 0:
         raise DataError(
-            f"fractions {spec.train_frac}/{spec.val_frac}/{spec.test_frac} "
+            f"val_frac {spec.val_frac} and test_frac {spec.test_frac} "
             f"leave an empty train split for {n} records"
         )
     rng = random.Random(spec.seed)

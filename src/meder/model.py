@@ -67,13 +67,13 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Normal(0, std) with resampling outside 2 standard deviations."""
-    x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2.0 * std
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) with resampling outside 2 standard deviations."""
+    x = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(x) > 2.0 * INIT_STD
     while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2.0 * std
+        x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(x) > 2.0 * INIT_STD
     return x
 
 

@@ -31,6 +31,9 @@ GELU_K1 = 0.044715
 
 LAYER_NORM_EPS = 1e-5
 MASK_FILL_VALUE = -1e9
+# grad_check's central-difference step and its pass bound on relative error
+GRAD_CHECK_H = 1e-4
+GRAD_CHECK_TOLERANCE = 1e-3
 
 _default_dtype = np.dtype(np.float32)
 _grad_enabled = True
@@ -386,7 +389,7 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float = MASK_FILL_VALUE) -> 
     return _node(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance; then scale and shift."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -396,7 +399,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         )
     mean = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mean) * inv
     data = xhat * gain.data + bias.data
 
@@ -544,8 +547,6 @@ def backward(loss: Tensor) -> None:
 class GradCheckReport:
     passed: bool
     max_rel_err: float
-    tolerance: float
-    h: float
     worst_param: str
     worst_index: int
     n_checked: int
@@ -555,7 +556,7 @@ class GradCheckReport:
         out = [f"{name}: max_rel_err {err:.3e}" for name, err in sorted(self.per_param.items())]
         out.append(
             f"overall: max_rel_err {self.max_rel_err:.3e} at {self.worst_param}[{self.worst_index}] "
-            f"(h={self.h:g}, n={self.n_checked}, tolerance {self.tolerance:g}) "
+            f"(h={GRAD_CHECK_H:g}, n={self.n_checked}, tolerance {GRAD_CHECK_TOLERANCE:g}) "
             f"-> {'PASS' if self.passed else 'FAIL'}"
         )
         return out
@@ -564,8 +565,6 @@ class GradCheckReport:
 def grad_check(
     loss_fn: Callable[[], Tensor],
     params: dict[str, Tensor],
-    tolerance: float = 1e-3,
-    h: float = 1e-4,
     samples_per_tensor: int = 200,
     seed: int = 0,
 ) -> GradCheckReport:
@@ -603,14 +602,14 @@ def grad_check(
         worst_here = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRAD_CHECK_H
             f_plus = float(loss_fn().data)
-            flat[i] = orig - h
+            flat[i] = orig - GRAD_CHECK_H
             f_minus = float(loss_fn().data)
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NumericError(f"non-finite loss while perturbing {name}[{i}]")
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_H)
             a = float(aflat[i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             n_checked += 1
@@ -621,10 +620,8 @@ def grad_check(
         per_param[name] = worst_here
     max_rel = worst[0]
     return GradCheckReport(
-        passed=max_rel <= tolerance,
+        passed=max_rel <= GRAD_CHECK_TOLERANCE,
         max_rel_err=max_rel,
-        tolerance=tolerance,
-        h=h,
         worst_param=worst[1] or next(iter(params)),
         worst_index=worst[2],
         n_checked=n_checked,

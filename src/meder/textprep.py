@@ -2,7 +2,8 @@
 
 Pipeline, in fixed order: normalize and strip characters, tokenize on
 whitespace, drop stopwords, reduce each word by suffix rules.  Text and
-entity go through the same pipeline independently.
+entity go through the same pipeline independently.  An empty stopword set
+or suffix table turns that stage into the identity.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class PrepConfig:
     strip_charset: frozenset[str]
     stopwords: frozenset[str]
     suffix_rules: tuple[tuple[str, str], ...]
-    enable_stopwords: bool = True
-    enable_stemming: bool = True
     max_passes: int = 1
 
     def __post_init__(self) -> None:
@@ -72,7 +71,6 @@ class PrepConfig:
 
 @dataclass(frozen=True)
 class CleanRecord:
-    id: str
     clean_text: tuple[str, ...]
     clean_entity: tuple[str, ...]
     label_id: int
@@ -189,12 +187,7 @@ def normalize_word(word: str, cfg: PrepConfig) -> str:
 def preprocess_text(raw: str, cfg: PrepConfig) -> list[str]:
     """Full pipeline for one string: clean, tokenize, stopword-filter,
     normalize.  May return an empty list."""
-    tokens = clean_text(raw, cfg).split()
-    if cfg.enable_stopwords:
-        tokens = remove_stopwords(tokens, cfg)
-    if cfg.enable_stemming:
-        tokens = [normalize_word(t, cfg) for t in tokens]
-    return tokens
+    return [normalize_word(t, cfg) for t in remove_stopwords(clean_text(raw, cfg).split(), cfg)]
 
 
 def preprocess_record(r: RawRecord, cfg: PrepConfig, labels: LabelSet) -> CleanRecord:
@@ -205,9 +198,4 @@ def preprocess_record(r: RawRecord, cfg: PrepConfig, labels: LabelSet) -> CleanR
         raise DataError(f"record {r.id!r}: text is empty after preprocessing")
     if not entity_tokens:
         raise DataError(f"record {r.id!r}: entity is empty after preprocessing")
-    return CleanRecord(
-        id=r.id,
-        clean_text=tuple(text_tokens),
-        clean_entity=tuple(entity_tokens),
-        label_id=label_id,
-    )
+    return CleanRecord(tuple(text_tokens), tuple(entity_tokens), label_id)

@@ -23,6 +23,10 @@ from .tokenizer import Vocab, encode_text
 PairList = Sequence[tuple[EncodedPair, EncodedPair]]
 
 COMPARISON_SCHEMA = "meder-comparison-report/1"
+# AdamW's moment decay rates and denominator offset (Loshchilov & Hutter, ICLR 2019)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,40 +78,29 @@ class TrainHistory:
 class AdamW:
     """AdamW with bias correction and decoupled weight decay."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        weight_decay: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.01):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 raise NumericError(f"parameter {name} has no gradient; run backward first")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             p.data = (
                 p.data
-                - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 - self.lr * self.weight_decay * p.data
             )
 

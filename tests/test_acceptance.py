@@ -154,7 +154,7 @@ def test_criterion_04_full_ensemble_gradient_check():
         def loss_fn():
             return cross_entropy(forward_batch(model, batch), batch.labels)
 
-        report = grad_check(loss_fn, model.parameters(), tolerance=1e-3, h=1e-4)
+        report = grad_check(loss_fn, model.parameters())
     elapsed = time.monotonic() - start
     assert report.passed, f"worst {report.worst_param}: {report.max_rel_err:.3e}"
     assert report.max_rel_err < 1e-3

@@ -144,6 +144,16 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--config", str(bad_line))
     assert code == 2 and "expected key=value" in err
 
+    # a config value passes the same choices as its flag, before any input is read
+    bad_arm = tmp_path / "bad_arm.cfg"
+    bad_arm.write_text("# arm\narm=bogus\n", encoding="utf-8")
+    want = f"data error: {bad_arm}:2: arm must be one of single, ensemble, got 'bogus'\n"
+    for argv in (["stats"], ["train", "--out-dir", str(tmp_path / "out")],
+                 ["train", "--corpus", str(tmp_path / "missing.jsonl")]):
+        code, out, err = run(capsys, *argv, "--config", str(bad_arm))
+        assert (code, out, err) == (2, "", want), argv
+    assert not (tmp_path / "out").exists()
+
 
 def test_prepare_converts_csv_and_reports_drops(tmp_path, capsys):
     label = LABELS.names[0]
@@ -518,6 +528,23 @@ def test_a_writer_that_fails_leaves_every_target_as_it_was(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         _publish({old: lambda p: p.write_text("new", encoding="utf-8"),
                   tmp_path / "new.txt": half_then_fail})
+    assert tree_snapshot(tmp_path) == before
+    # the directories a failed publish had to create go too, deepest first
+    with pytest.raises(OSError, match="disk full"):
+        _publish({old: lambda p: p.write_text("new", encoding="utf-8"),
+                  tmp_path / "fresh" / "new.txt": lambda p: p.write_text("new", encoding="utf-8"),
+                  tmp_path / "fresh" / "sub" / "new.txt": half_then_fail})
+    assert tree_snapshot(tmp_path) == before
+
+
+def test_a_train_that_cannot_make_its_out_dir_leaves_no_new_directory(tmp_path, capsys):
+    """The checkpoint's fresh directories are made first; the out-dir
+    under a regular file then cannot be, and they are removed again."""
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    before = tree_snapshot(tmp_path)
+    code, _, err = run(capsys, "train", "--checkpoint", str(tmp_path / "fresh" / "a" / "m.ckpt"),
+                       "--out-dir", str(tmp_path / "afile" / "o"), *SMALL)
+    assert code == 2 and err.startswith("data error: ")
     assert tree_snapshot(tmp_path) == before
 
 

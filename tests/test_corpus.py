@@ -137,21 +137,28 @@ def test_label_set_validation_and_files(tmp_path):
 
 
 def test_split_spec_validation():
-    with pytest.raises(DataError, match="non-negative"):
-        SplitSpec(Fraction(11, 10), Fraction(-1, 10), 0)
-    with pytest.raises(DataError, match="sum to exactly 1"):
-        SplitSpec(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    with pytest.raises(DataError, match="^val_frac must be non-negative, got -1/10$"):
+        SplitSpec(val_frac=Fraction(-1, 10), test_frac=0)
+    with pytest.raises(DataError, match="^test_frac must be non-negative, got -1/20$"):
+        SplitSpec(val_frac=0.1, test_frac=-0.05)
+    with pytest.raises(DataError, match="^val_frac 3/4 \\+ test_frac 1/2 exceeds 1$"):
+        SplitSpec(val_frac=Fraction(3, 4), test_frac=Fraction(1, 2))
     for bad in (float("nan"), float("inf"), "nan"):
         with pytest.raises(DataError, match="finite number"):
-            SplitSpec(0.8, bad, 0.1)
-    spec = SplitSpec(0.8, 0.1, 0.1)
+            SplitSpec(val_frac=bad, test_frac=0.1)
+    spec = SplitSpec(val_frac=0.1, test_frac=0.1)
     assert spec.val_frac == Fraction(1, 10)
+    assert spec == SplitSpec.default()
+    assert SplitSpec(val_frac=Fraction(1, 2), test_frac=Fraction(1, 2)).test_frac == Fraction(1, 2)
     assert SplitSpec.default().seed == 42
+    # keyword-only: the old positional (train, val, test) call cannot bind silently
+    with pytest.raises(TypeError):
+        SplitSpec(0.8, 0.1, 0.1)
 
 
 def test_split_ten_records_floor_rule():
     records = make_records(["Disease"] * 10)
-    spec = SplitSpec(0.8, 0.1, 0.1, seed=42)
+    spec = SplitSpec(val_frac=0.1, test_frac=0.1, seed=42)
     first = split(records, spec)
     assert tuple(len(part) for part in first) == (8, 1, 1)
     second = split(records, spec)
@@ -160,15 +167,15 @@ def test_split_ten_records_floor_rule():
 
 def test_split_empty_train_rejected():
     records = make_records(["Disease"] * 10)
-    with pytest.raises(DataError, match="empty train split"):
-        split(records, SplitSpec(0, 0.5, 0.5))
+    with pytest.raises(DataError, match="^val_frac 1/2 and test_frac 1/2 leave an empty train split"):
+        split(records, SplitSpec(val_frac=0.5, test_frac=0.5))
     with pytest.raises(DataError, match="empty"):
         split([], SplitSpec.default())
 
 
 def test_split_sixty_records_stratified_counts():
     labels = [DEFAULT_LABELS[i % 6] for i in range(60)]
-    train, val, test = split(make_records(labels), SplitSpec(0.5, 0.25, 0.25, seed=42))
+    train, val, test = split(make_records(labels), SplitSpec(val_frac=0.25, test_frac=0.25, seed=42))
     assert (len(train), len(val), len(test)) == (30, 15, 15)
     for lab in DEFAULT_LABELS:
         counts = tuple(sum(1 for r in part if r.label == lab) for part in (train, val, test))
@@ -181,7 +188,7 @@ def test_split_sixty_records_stratified_counts():
 def test_split_partitions_are_disjoint_and_cover():
     rng = random.Random(0)
     records = make_records([f"L{rng.randrange(4)}" for _ in range(137)])
-    train, val, test = split(records, SplitSpec(0.7, 0.15, 0.15, seed=7))
+    train, val, test = split(records, SplitSpec(val_frac=0.15, test_frac=0.15, seed=7))
     ids = [r.id for r in train] + [r.id for r in val] + [r.id for r in test]
     assert len(ids) == len(records)
     assert set(ids) == {r.id for r in records}
@@ -189,7 +196,7 @@ def test_split_partitions_are_disjoint_and_cover():
 
 def test_split_unstratified_sizes_and_determinism():
     records = make_records(["A", "B"] * 25)
-    spec = SplitSpec(0.8, 0.1, 0.1, seed=3, stratified=False)
+    spec = SplitSpec(val_frac=0.1, test_frac=0.1, seed=3, stratified=False)
     train, val, test = split(records, spec)
     assert (len(train), len(val), len(test)) == (40, 5, 5)
     again = split(records, spec)
@@ -201,14 +208,15 @@ def test_split_unstratified_sizes_and_determinism():
     label_ids=st.lists(st.integers(0, 7), min_size=2, max_size=500),
     seed=st.integers(0, 2**32 - 1),
     fracs=st.sampled_from([
-        (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10)),
-        (Fraction(7, 10), Fraction(3, 20), Fraction(3, 20)),
-        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(1, 10), Fraction(1, 10)),
+        (Fraction(3, 20), Fraction(3, 20)),
+        (Fraction(1, 4), Fraction(1, 4)),
     ]),
 )
 def test_stratified_proportion_error_within_one_record(label_ids, seed, fracs):
     records = make_records([f"L{i}" for i in label_ids])
-    spec = SplitSpec(*fracs, seed=seed, stratified=True)
+    val_frac, test_frac = fracs
+    spec = SplitSpec(val_frac=val_frac, test_frac=test_frac, seed=seed, stratified=True)
     parts = split(records, spec)
     n = len(records)
     assert sum(len(p) for p in parts) == n

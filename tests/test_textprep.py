@@ -143,14 +143,10 @@ def test_preprocess_text_pipeline_order():
 
 
 def test_preprocess_text_toggles():
-    base = dict(
-        strip_charset=DEFAULT_STRIP_CHARSET,
-        stopwords=frozenset({"the"}),
-        suffix_rules=(("s", ""),),
-    )
-    no_stop = PrepConfig(**base, enable_stopwords=False)
+    # empty stopwords or suffix rules switch that stage off
+    no_stop = PrepConfig(DEFAULT_STRIP_CHARSET, frozenset(), (("s", ""),))
     assert preprocess_text("the books", no_stop) == ["the", "book"]
-    no_stem = PrepConfig(**base, enable_stemming=False)
+    no_stem = PrepConfig(DEFAULT_STRIP_CHARSET, frozenset({"the"}), ())
     assert preprocess_text("the books", no_stem) == ["books"]
 
 
@@ -196,6 +192,14 @@ def test_golden_records():
         for r in records:
             preprocess_record(r, cfg, labels)
     assert cfg.stems
+    # --no-stopwords and --no-stemming: the same pipeline with that stage's data empty
+    disabled = {"no_stopwords": dataclasses.replace(cfg, stopwords=frozenset()),
+                "no_stemming": dataclasses.replace(cfg, suffix_rules=())}
+    for name, off in disabled.items():
+        for expected in golden:
+            clean = preprocess_record(by_id[expected["id"]], off, labels)
+            assert clean.clean_text == tuple(expected[name]["clean_text"]), (name, expected["id"])
+            assert clean.clean_entity == tuple(expected[name]["clean_entity"]), (name, expected["id"])
 
 
 def test_stem_memo_belongs_to_its_config(cfg):
