@@ -14,6 +14,7 @@ import random
 import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -58,7 +59,7 @@ class LabelSet:
         if not self.names:
             raise DataError("label set is empty")
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 

@@ -8,6 +8,7 @@ or suffix table turns that stage into the identity.
 
 from __future__ import annotations
 
+import re
 import string
 import unicodedata
 from dataclasses import dataclass
@@ -126,8 +127,12 @@ def load_suffix_table(path: Union[str, Path]) -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=32)
-def _delete_table(charset: frozenset) -> dict[int, None]:
-    return {ord(c): None for c in charset}
+def _strip_pattern(charset: frozenset) -> re.Pattern:
+    """One character class of the charset, sorted; an empty set gives a
+    pattern that never matches."""
+    if not charset:
+        return re.compile("(?!)")
+    return re.compile("[" + "".join(re.escape(c) for c in sorted(charset)) + "]")
 
 
 @lru_cache(maxsize=32)
@@ -141,10 +146,10 @@ def _rule_index(rules: tuple) -> tuple[dict[str, str], tuple[int, ...]]:
 
 
 def clean_text(raw: str, cfg: PrepConfig) -> str:
-    """NFC-normalize, delete strip_charset code points, collapse and
-    trim whitespace.  May return an empty string."""
-    s = unicodedata.normalize("NFC", raw)
-    s = s.translate(_delete_table(cfg.strip_charset))
+    """NFC-normalize, delete strip_charset code points with one compiled
+    character class, collapse and trim whitespace.  May return an empty
+    string."""
+    s = _strip_pattern(cfg.strip_charset).sub("", unicodedata.normalize("NFC", raw))
     return " ".join(s.split())
 
 

@@ -62,6 +62,26 @@ def _merge_token(a: str, b: str) -> str:
     return a + (b[2:] if b.startswith("##") else b)
 
 
+def _merge_sites(seq: tuple[str, ...], a: str, b: str) -> list[int]:
+    """Start indices of the (a, b) pairs that a left-to-right merge
+    rewrites: the leftmost first, none overlapping the one before."""
+    if seq.count(a) == 1:  # most words: one look, no search to the end
+        j = seq.index(a)
+        return [j] if j + 1 < len(seq) and seq[j + 1] == b else []
+    sites: list[int] = []
+    i = 0
+    while True:
+        try:
+            j = seq.index(a, i, len(seq) - 1)
+        except ValueError:
+            return sites
+        if seq[j + 1] == b:
+            sites.append(j)
+            i = j + 2
+        else:
+            i = j + 1
+
+
 def train_vocab(
     corpus: Iterable[Sequence[str]],
     target_size: int = DEFAULT_TARGET_SIZE,
@@ -77,9 +97,13 @@ def train_vocab(
     the same token with the same count (#+#####a and ####+##a both give
     ####a) go to the smallest (left, right) pair.
 
-    Pair counts are taken once; a merge rewrites only the words that
-    hold the merged pair and updates the counts of the pairs it changed
-    (Sennrich et al., ACL 2016).
+    Pair counts are taken once (Sennrich et al., ACL 2016).  A merge
+    rewrites only the words that hold the merged pair and, in each,
+    updates only the pairs at its sites: the old pairs that overlap a
+    site and the new pairs on either side of each merged symbol, each
+    counted once where adjacent sites share it.  Every pair whose count
+    moved gets one new heap entry, so the merge order does not depend on
+    the order in which words are visited.
     """
     if min_freq < 1:
         raise DataError(f"min_freq must be at least 1, got {min_freq}")
@@ -121,26 +145,47 @@ def train_vocab(
             break
         vocab.append(merged)
         vocab_set.add(merged)
-        delta: Counter = Counter()
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
         for word in words_with.pop((a, b)):
             seq = seqs[word]
-            out: list[str] = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
+            sites = _merge_sites(seq, a, b)
+            if not sites:
+                continue
             f = word_freq[word]
-            for pair in zip(seq, seq[1:]):
-                delta[pair] -= f
-            for pair in zip(out, out[1:]):
+            if len(sites) == 1:
+                # the common case: five pairs change
+                j = sites[0]
+                delta[a, b] -= f
+                if j:
+                    left = seq[j - 1]
+                    delta[left, a] -= f
+                    delta[left, merged] += f
+                    words_with[left, merged].add(word)
+                if j + 2 < len(seq):
+                    right = seq[j + 2]
+                    delta[b, right] -= f
+                    delta[merged, right] += f
+                    words_with[merged, right].add(word)
+                seqs[word] = seq[:j] + (merged,) + seq[j + 2:]
+                continue
+            parts: list[str] = []
+            start = 0
+            for j in sites:
+                parts += seq[start:j]
+                parts.append(merged)
+                start = j + 2
+            out = tuple(parts) + seq[start:]
+            # the old pairs next to a site and the new ones next to a
+            # merged symbol (the t-th sits at j - t), by start index;
+            # adjacent sites share one
+            for i in {i for j in sites for i in (j - 1, j, j + 1) if 0 <= i < len(seq) - 1}:
+                delta[seq[i], seq[i + 1]] -= f
+            for i in {i for t, j in enumerate(sites) for i in (j - t - 1, j - t)
+                      if 0 <= i < len(out) - 1}:
+                pair = (out[i], out[i + 1])
                 delta[pair] += f
-                if merged in pair:
-                    words_with[pair].add(word)
-            seqs[word] = tuple(out)
+                words_with[pair].add(word)
+            seqs[word] = out
         for pair, d in delta.items():
             if d:
                 pair_freq[pair] += d

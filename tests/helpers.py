@@ -1,9 +1,11 @@
 """Helpers shared by several test modules: a sum loss for gradient
 checks, the comparison report's JSON Schema, the uncut encoder
-reference that the padding oracles compare against, and a snapshot of
-a directory tree for the CLI's all-or-none checks."""
+reference that the padding oracles compare against, the translate-table
+reference for text cleaning, and a snapshot of a directory tree for the
+CLI's all-or-none checks."""
 
 import stat
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,14 @@ def uncut_cls(branch, input_ids, segment_ids, attention_mask, rng=None):
     drop-in for `meder.model.encode_cls` without its cut."""
     return select(encode(branch, embed(branch, input_ids, segment_ids), attention_mask, rng),
                   0, axis=1)
+
+
+def translate_clean_text(raw: str, charset: frozenset) -> str:
+    """`meder.textprep.clean_text` as a chain of string methods: NFC,
+    delete each charset code point through a translate table, then
+    collapse and trim whitespace."""
+    s = unicodedata.normalize("NFC", raw).translate({ord(c): None for c in charset})
+    return " ".join(s.split())
 
 
 def tree_snapshot(root: Path) -> dict:

@@ -136,6 +136,15 @@ def test_label_set_validation_and_files(tmp_path):
     assert LabelSet.default().names == DEFAULT_LABELS
 
 
+def test_label_set_index_is_built_once_and_ignored_by_equality():
+    a, b = LabelSet(("one", "two")), LabelSet(("one", "two"))
+    before = hash(a)
+    assert a.index is a.index == {"one": 0, "two": 1}
+    assert "index" in vars(a) and "index" not in vars(b)
+    assert a == b and hash(a) == hash(b) == before
+    assert a != LabelSet(("two", "one"))
+
+
 def test_split_spec_validation():
     with pytest.raises(DataError, match="^val_frac must be non-negative, got -1/10$"):
         SplitSpec(val_frac=Fraction(-1, 10), test_frac=0)

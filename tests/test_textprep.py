@@ -15,6 +15,7 @@ from meder.corpus import LabelSet, RawRecord, load_corpus
 from meder.errors import DataError
 from meder.textprep import (
     DEFAULT_STRIP_CHARSET,
+    _BANGLA_BLOCK,
     PrepConfig,
     clean_text,
     load_stopwords,
@@ -25,7 +26,14 @@ from meder.textprep import (
     remove_stopwords,
 )
 
+from helpers import translate_clean_text
+
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_textprep.json"
+
+# Bangla letters and signs, with য় (U+09DF, which NFC decomposes) and the
+# two parts of ো (which NFC composes); whitespace; an ASCII letter; and
+# the characters that a regex character class treats specially.
+CLEAN_ALPHABET = "অকখডরা\u09cb\u09c7\u09be\u09df\u09af\u09bc \t\n\u00a0\u2003x][\\^-.*"
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,18 @@ def test_clean_text_idempotent(raw):
     assert clean_text(once, config) == once
     # never introduces code points absent from the NFC form of the input
     assert set(once) - {" "} <= set(unicodedata.normalize("NFC", raw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_clean_text_matches_the_translate_reference(data):
+    # a PrepConfig refuses Bangla code points, so a charset keeps the rest
+    charset = frozenset(c for c in data.draw(st.sets(st.sampled_from(CLEAN_ALPHABET)))
+                        if ord(c) not in _BANGLA_BLOCK)
+    raw = data.draw(st.text(alphabet=CLEAN_ALPHABET + "".join(sorted(DEFAULT_STRIP_CHARSET)),
+                            max_size=40))
+    config = PrepConfig(strip_charset=charset, stopwords=frozenset(), suffix_rules=())
+    assert clean_text(raw, config) == translate_clean_text(raw, charset)
 
 
 def test_remove_stopwords_reference_filter(cfg):

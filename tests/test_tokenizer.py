@@ -171,6 +171,25 @@ def test_train_vocab_matches_the_recount_reference(data):
     assert got == recount_train_vocab([words], target, min_freq)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_train_vocab_matches_the_recount_reference_on_runs_of_merge_sites(data):
+    # Long words over one or two letters hold several adjacent and
+    # overlapping sites of one pair (aaaa, abab, and (a, ##a) runs), where
+    # neighbouring sites share the pairs a merge updates.  Repeated words
+    # give pairs weights above one.
+    letters = data.draw(st.sampled_from(["a", "ab"]))
+    distinct = data.draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=24),
+                                  min_size=1, max_size=8))
+    repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(distinct),
+                                 max_size=len(distinct)))
+    words = [w for w, n in zip(distinct, repeats) for _ in range(n)]
+    min_freq = data.draw(st.integers(1, 3))
+    target = data.draw(st.integers(8, 80))  # 8: the specials and a, b, ##a, ##b
+    got = train_vocab([words], target, min_freq).tokens
+    assert got == recount_train_vocab([words], target, min_freq)
+
+
 @pytest.mark.parametrize("target", [120, 200, 300, 8000])
 def test_train_vocab_matches_the_recount_reference_on_the_sample(target):
     tokens = sample_train_tokens()
