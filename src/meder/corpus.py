@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import random
-import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,9 +139,12 @@ def _validate_record(raw: dict, lineno: int, labels: LabelSet, seen_ids: set) ->
         if not isinstance(raw[field], str):
             raise DataError(f"line {lineno}: field {field!r} must be a string")
     rec = RawRecord(id=raw["id"], text=raw["text"], entity=raw["entity"], label=raw["label"])
-    if not unicodedata.normalize("NFC", rec.text).strip():
+    # NFC maps whitespace to whitespace and nothing else to it, so a
+    # string is blank after NFC exactly when it is blank before
+    # (tests/test_corpus.py checks this over every code point)
+    if not rec.text.strip():
         raise DataError(f"line {lineno}: text is empty after normalization (id {rec.id!r})")
-    if not unicodedata.normalize("NFC", rec.entity).strip():
+    if not rec.entity.strip():
         raise DataError(f"line {lineno}: entity is empty after normalization (id {rec.id!r})")
     if rec.label not in labels.index:
         raise DataError(f"line {lineno}: unknown label {rec.label!r}; known labels: {list(labels.names)}")

@@ -25,6 +25,13 @@ from .pairseq import BatchBlock, EncodedPair, PairBatch, PairOrder, block
 
 INIT_STD = 0.02
 CHECKPOINT_MAGIC = b"MEDER1\n"
+# The last block computes queries and everything after them only at
+# positions 0..CLS_ROWS-1, since the head reads position 0 alone.  Two
+# rows, not one: on OpenBLAS 0.3.31 (Haswell) a one-row product sums in
+# another order than the same row inside the full product, while a
+# two-row product keeps that row's bits, so one row would move the CLS
+# vector.  It follows the BLAS; it is not a setting.
+CLS_ROWS = 2
 
 _CONFIG_INT_FIELDS = (
     "vocab_size", "max_len", "d_model", "n_heads", "n_layers",
@@ -78,19 +85,36 @@ def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _keep_mask(
-    shape: tuple[int, ...], rate: float, rng: Optional[np.random.Generator], dtype: np.dtype
+    shape: tuple[int, ...],
+    rate: float,
+    rng: Optional[np.random.Generator],
+    dtype: np.dtype,
+    rows: Optional[int] = None,
 ) -> tuple[Optional[np.ndarray], float]:
-    """A boolean dropout mask drawn from `rng` and the scale its kept
-    entries take; (None, 1.0) when rng is None or the rate is 0."""
+    """A boolean dropout mask drawn from `rng` at `shape` and the scale its
+    kept entries take; (None, 1.0) when rng is None or the rate is 0.
+    With `rows`, a copy of only the first `rows` entries along axis -2 is
+    kept, so a cut block draws what the full-rows block draws."""
     if rng is None or rate <= 0.0:
         return None, 1.0
     keep, dt = 1.0 - rate, dtype.type
-    return rng.random(shape) < keep, dt(1) / dt(keep)
+    mask = rng.random(shape) < keep
+    if rows is not None and rows < shape[-2]:
+        mask = mask[..., :rows, :].copy()
+    return mask, dt(1) / dt(keep)
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout via a boolean mask; identity when rng is None."""
-    keep, scale = _keep_mask(x.data.shape, rate, rng, x.data.dtype)
+def dropout(
+    x: Tensor,
+    rate: float,
+    rng: Optional[np.random.Generator],
+    drawn: Optional[tuple[int, ...]] = None,
+) -> Tensor:
+    """Inverted dropout via a boolean mask; identity when rng is None.
+    `drawn` is the shape the mask is drawn at, x's by default; a taller
+    draw is cut to x's rows along axis -2."""
+    rows = None if drawn is None else x.data.shape[-2]
+    keep, scale = _keep_mask(drawn or x.data.shape, rate, rng, x.data.dtype, rows)
     return x if keep is None else nc.drop(x, keep, scale)
 
 
@@ -151,23 +175,27 @@ def _attention(
     x: Tensor,
     attention_mask: np.ndarray,
     rng: Optional[np.random.Generator],
+    rows: Optional[int] = None,
 ) -> Tensor:
+    """Block i's self-attention output over x [B, L, d]; with `rows`, only
+    the first `rows` positions query, and the output is [B, rows, d]."""
     cfg = branch.cfg
     p = branch.params
     batch, seq_len, d = x.data.shape
     heads, dh = cfg.n_heads, cfg.d_head
 
-    def project(tag: str) -> Tensor:
-        y = nc.matmul(x, p[f"layer{i}.attn.w{tag}"], bias=p[f"layer{i}.attn.b{tag}"])
-        y = nc.reshape(y, (batch, seq_len, heads, dh))
+    def project(tag: str, src: Tensor) -> Tensor:
+        y = nc.matmul(src, p[f"layer{i}.attn.w{tag}"], bias=p[f"layer{i}.attn.b{tag}"])
+        y = nc.reshape(y, (batch, src.data.shape[1], heads, dh))
         return nc.transpose(y, (0, 2, 1, 3))
 
-    q, k, v = project("q"), project("k"), project("v")
+    q = project("q", x if rows is None else nc.leading_rows(x, rows))
+    k, v = project("k", x), project("v", x)
     key_mask = (np.asarray(attention_mask) == 0).reshape(batch, 1, 1, seq_len)
     keep, keep_scale = _keep_mask(
-        (batch, heads, seq_len, seq_len), cfg.dropout_rate, rng, x.data.dtype)
+        (batch, heads, seq_len, seq_len), cfg.dropout_rate, rng, x.data.dtype, rows)
     ctx = nc.attention(q, k, v, key_mask, 1.0 / math.sqrt(dh), keep, keep_scale)
-    ctx = nc.reshape(nc.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, d))
+    ctx = nc.reshape(nc.transpose(ctx, (0, 2, 1, 3)), (batch, q.data.shape[2], d))
     return nc.matmul(ctx, p[f"layer{i}.attn.wo"], bias=p[f"layer{i}.attn.bo"])
 
 
@@ -177,10 +205,16 @@ def encode(
     attention_mask: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Run the pre-norm block stack over embedded inputs.
+    """Run the pre-norm block stack over embedded inputs [B, L, d_model]:
+    [B, min(CLS_ROWS, L), d_model], or `hidden` itself with no blocks.
 
     Keys at masked positions get -1e9 attention logits, so padding
-    cannot influence any unmasked position.
+    cannot influence any unmasked position.  Every block but the last
+    runs over all L positions.  The last keeps LN1 and the key and value
+    projections over all of them, since its keys and values read every
+    row, and computes queries, attention rows, `wo`, the residuals, LN2
+    and the FFN only at the leading CLS_ROWS.  Its dropout masks are
+    drawn at the full shape and cut, so every draw is the full block's.
     """
     mask = np.asarray(attention_mask)
     if hidden.data.ndim != 3:
@@ -190,15 +224,20 @@ def encode(
             f"attention_mask {mask.shape} does not match hidden {hidden.data.shape}"
         )
     p = branch.params
+    rate, n_layers = branch.cfg.dropout_rate, branch.cfg.n_layers
+    full = hidden.data.shape
     h = hidden
-    for i in range(branch.cfg.n_layers):
+    for i in range(n_layers):
+        rows = min(CLS_ROWS, full[1]) if i == n_layers - 1 else None
         normed = nc.layer_norm(h, p[f"layer{i}.ln1.gain"], p[f"layer{i}.ln1.bias"])
-        attn = dropout(_attention(branch, i, normed, mask, rng), branch.cfg.dropout_rate, rng)
+        attn = dropout(_attention(branch, i, normed, mask, rng, rows), rate, rng, full)
+        if rows is not None:
+            h = nc.leading_rows(h, rows)
         h = nc.add(h, attn)
         normed = nc.layer_norm(h, p[f"layer{i}.ln2.gain"], p[f"layer{i}.ln2.bias"])
         ff = nc.matmul(normed, p[f"layer{i}.ffn.w1"], bias=p[f"layer{i}.ffn.b1"])
         ff = nc.matmul(nc.gelu(ff), p[f"layer{i}.ffn.w2"], bias=p[f"layer{i}.ffn.b2"])
-        h = nc.add(h, dropout(ff, branch.cfg.dropout_rate, rng))
+        h = nc.add(h, dropout(ff, rate, rng, full))
     return h
 
 

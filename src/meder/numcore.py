@@ -3,9 +3,9 @@
 Just enough operator surface for the encoder: broadcast add/mul, batched
 matmul with an optional bias, reshape/transpose, row softmax, fused
 attention, boolean-mask dropout, layer norm, gelu, embedding lookup,
-masked fill, select/concat and cross entropy.  Forward ops guard against
-overflow (softmax max subtraction, layer-norm epsilon), so finite inputs
-give finite outputs.
+masked fill, select/leading rows/concat and cross entropy.  Forward ops
+guard against overflow (softmax max subtraction, layer-norm epsilon), so
+finite inputs give finite outputs.
 
 Training runs in float32; verification (finite differences) runs under
 `use_dtype(np.float64)`.  Ops record a node only for outputs that need a
@@ -235,6 +235,20 @@ def select(a: Tensor, index: int, axis: int) -> Tensor:
         a.grad[tuple(sl)] += g
 
     return _node(data, (a,), backward)
+
+
+def leading_rows(a: Tensor, n: int) -> Tensor:
+    """The first `n` entries along axis 1 (e.g. the positions of a
+    [B, L, d] block that a later layer reads); a view, not a copy."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"leading_rows needs a 2-D+ input, got {a.data.shape}")
+    if not 1 <= n <= a.data.shape[1]:
+        raise ShapeError(f"leading_rows: {n} rows out of range for shape {a.data.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        a.grad[:, :n] += g
+
+    return _node(a.data[:, :n], (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

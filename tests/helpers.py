@@ -1,8 +1,8 @@
 """Helpers shared by several test modules: a sum loss for gradient
-checks, the comparison report's JSON Schema, the uncut encoder
-reference that the padding oracles compare against, the translate-table
-reference for text cleaning, and a snapshot of a directory tree for the
-CLI's all-or-none checks."""
+checks, the comparison report's JSON Schema, the full-rows encoder and
+the uncut CLS reference that the cut and padding oracles compare
+against, the translate-table reference for text cleaning, and a
+snapshot of a directory tree for the CLI's all-or-none checks."""
 
 import stat
 import unicodedata
@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from meder.model import embed, encode
-from meder.numcore import Tensor, _node, select
+from meder.model import _attention, dropout, embed
+from meder.numcore import Tensor, _node, add, gelu, layer_norm, matmul, select
 from meder.trainer import COMPARISON_SCHEMA
 
 
@@ -25,11 +25,30 @@ def total_sum(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def full_rows_encode(branch, hidden, attention_mask, rng=None):
+    """`meder.model.encode` without the last-block cut: every block runs
+    over every position and the result is [B, L, d_model].  It draws the
+    same dropout masks in the same order."""
+    p = branch.params
+    mask = np.asarray(attention_mask)
+    rate = branch.cfg.dropout_rate
+    h = hidden
+    for i in range(branch.cfg.n_layers):
+        normed = layer_norm(h, p[f"layer{i}.ln1.gain"], p[f"layer{i}.ln1.bias"])
+        h = add(h, dropout(_attention(branch, i, normed, mask, rng), rate, rng))
+        normed = layer_norm(h, p[f"layer{i}.ln2.gain"], p[f"layer{i}.ln2.bias"])
+        ff = matmul(normed, p[f"layer{i}.ffn.w1"], bias=p[f"layer{i}.ffn.b1"])
+        ff = matmul(gelu(ff), p[f"layer{i}.ffn.w2"], bias=p[f"layer{i}.ffn.b2"])
+        h = add(h, dropout(ff, rate, rng))
+    return h
+
+
 def uncut_cls(branch, input_ids, segment_ids, attention_mask, rng=None):
-    """The CLS vector of the whole block, padding columns included; a
-    drop-in for `meder.model.encode_cls` without its cut."""
-    return select(encode(branch, embed(branch, input_ids, segment_ids), attention_mask, rng),
-                  0, axis=1)
+    """The CLS vector of the whole block, every padding column and every
+    position of every block included; a drop-in for
+    `meder.model.encode_cls` without its cuts."""
+    h = dropout(embed(branch, input_ids, segment_ids), branch.cfg.dropout_rate, rng)
+    return select(full_rows_encode(branch, h, attention_mask, rng), 0, axis=1)
 
 
 def translate_clean_text(raw: str, charset: frozenset) -> str:

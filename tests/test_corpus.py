@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,41 @@ def test_load_rejects_non_string_and_empty_fields(tmp_path):
     write_lines(path, [record_line(entity=" ")])
     with pytest.raises(DataError, match="entity is empty"):
         load_corpus(path, LabelSet.default())
+
+
+def test_blank_before_nfc_is_blank_after_nfc_for_every_code_point():
+    """The loader tests the raw text for blankness in place of its NFC
+    form.  That is the same test when, over every code point c, NFC and
+    NFD map whitespace to whitespace and nothing else to all-whitespace,
+    no whitespace character decomposes into several, and no canonical
+    composite's decomposition starts with whitespace (U+2000/U+2001 map
+    to single spaces, which are not composites): then NFD of a string
+    holds a non-space exactly when the string does, and composition
+    never starts from a whitespace character and never makes one."""
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        nfd = unicodedata.normalize("NFD", c)
+        nfc = unicodedata.normalize("NFC", c)
+        if c.isspace():
+            assert len(nfd) == 1 and nfd.isspace() and nfc.isspace(), hex(cp)
+        else:
+            assert not nfd.isspace() and not nfc.isspace(), hex(cp)
+        if len(nfd) > 1:
+            assert not nfd[0].isspace(), hex(cp)
+
+
+def test_blank_strings_are_refused_with_or_without_normalization(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    # U+2000 is whitespace that NFC rewrites (to U+2002); U+0301 alone is
+    # a combining mark, not whitespace, and NFC keeps it
+    for text, error in (("\u2000\u3000", "text is empty after normalization"),
+                        (" \u0301 ", None)):
+        write_lines(path, [record_line(text=text)])
+        if error is None:
+            assert load_corpus(path, LabelSet.default())[0].text == text
+        else:
+            with pytest.raises(DataError, match=error):
+                load_corpus(path, LabelSet.default())
 
 
 def test_load_missing_file_raises_file_not_found(tmp_path):

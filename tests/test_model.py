@@ -32,7 +32,7 @@ from meder.model import (
 from meder.numcore import Tensor, backward, cross_entropy, grad_check, mul, no_grad, use_dtype
 from meder.pairseq import PairBatch, batchify, build_both
 
-from helpers import uncut_cls
+from helpers import full_rows_encode, uncut_cls
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_encoder.json"
@@ -120,6 +120,18 @@ def test_dropout_mask_is_a_constant_with_the_cast_and_divide_bits(dtype):
     assert np.array_equal(x.grad, ref.grad)
 
 
+def test_dropout_drawn_taller_keeps_the_leading_rows_of_the_draw():
+    """A [2, 2, 3] input dropped with a [2, 5, 3] draw uses the first two
+    rows of that draw and leaves the generator where the full draw does."""
+    x0 = np.random.default_rng(1).normal(size=(2, 2, 3))
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with use_dtype(np.float64):
+        y = dropout(Tensor(x0), 0.3, rng, drawn=(2, 5, 3))
+    want = x0 * np.where(ref.random((2, 5, 3))[:, :2] < 0.7, 1.0 / 0.7, 0.0)
+    assert np.array_equal(y.data, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_embed_matches_per_position_gather():
     def run():
         cfg = toy_config()
@@ -164,6 +176,15 @@ def test_encode_with_no_layers_is_identity():
     hidden = Tensor(np.random.default_rng(1).normal(size=(2, 5, 8)))
     out = encode(branch, hidden, np.ones((2, 5), dtype=int))
     assert out is hidden
+
+
+def test_encode_returns_the_leading_rows_of_the_last_block():
+    cfg = toy_config()
+    branch = EncoderBranch(cfg, np.random.default_rng(0), "b.")
+    for seq_len in (5, 2, 1):
+        hidden = Tensor(np.random.default_rng(1).normal(size=(3, seq_len, 8)))
+        out = encode(branch, hidden, np.ones((3, seq_len), dtype=int))
+        assert out.data.shape == (3, min(mm.CLS_ROWS, seq_len), 8)
 
 
 def test_encode_rejects_mismatched_mask():
@@ -277,8 +298,8 @@ def mixed_length_batch(max_len=24):
     return batchify(pairs, batch_size=len(pairs))[0]
 
 
-def param_grads(model, batch):
-    backward(cross_entropy(forward_batch(model, batch), batch.labels))
+def param_grads(model, batch, rng=None):
+    backward(cross_entropy(forward_batch(model, batch, rng), batch.labels))
     return {name: t.grad.copy() for name, t in model.parameters().items()}
 
 
@@ -299,6 +320,67 @@ def test_cut_blocks_match_the_uncut_stack(monkeypatch, kind):
     assert list(cut) == list(full)
     for name in cut:
         assert np.abs(cut[name] - full[name]).max() < 1e-10, name
+
+
+@pytest.mark.parametrize("kind", list(ARMS))
+def test_the_cut_last_block_has_the_full_rows_gradients(monkeypatch, kind):
+    """With dropout on, every parameter gradient equals, within float64
+    roundoff, the one through every position of the last block."""
+    with use_dtype(np.float64):
+        model = Classifier(toy_config(max_len=24, seed=11, dropout_rate=0.3), kind)
+        batch = mixed_length_batch()
+        cut = param_grads(model, batch, np.random.default_rng(7))
+        monkeypatch.setattr(mm, "encode", full_rows_encode)
+        full = param_grads(model, batch, np.random.default_rng(7))
+    assert list(cut) == list(full)
+    for name in cut:
+        assert np.abs(cut[name] - full[name]).max() < 1e-12, name
+
+
+def test_the_cut_last_block_draws_what_the_full_rows_block_draws(monkeypatch):
+    """The last block's masks are drawn at full shape and then cut, so a
+    training forward leaves the generator where the full block does."""
+    model = Classifier(toy_config(max_len=24, dropout_rate=0.1), "ensemble")
+    batch = mixed_length_batch()
+
+    def state_after_forward():
+        rng = np.random.default_rng(5)
+        forward_batch(model, batch, rng)
+        return rng.bit_generator.state
+
+    cut = state_after_forward()
+    monkeypatch.setattr(mm, "encode", full_rows_encode)
+    assert state_after_forward() == cut
+    assert cut != np.random.default_rng(5).bit_generator.state
+
+
+@pytest.mark.parametrize("d_model,seq_len,batch_size", [(32, 48, 32), (64, 60, 4), (32, 48, 1)])
+def test_no_grad_cls_vectors_are_the_full_rows_bytes(monkeypatch, d_model, seq_len, batch_size):
+    """In float32 at the benchmark workloads' shapes, the cut CLS vectors
+    and logits are the full-rows block's bytes.  This rests on the BLAS
+    summing a row of a two-row product as it sums that row of the full
+    product (model.CLS_ROWS)."""
+    cfg = ModelConfig(vocab_size=200, max_len=seq_len, d_model=d_model, n_heads=4,
+                      n_layers=2, d_ff=2 * d_model, seed=3)
+    model = Classifier(cfg, "ensemble")
+    rng = np.random.default_rng(seq_len)
+    lengths = [(seq_len - 5, 2)] + [
+        (int(rng.integers(1, seq_len - 5)), int(rng.integers(1, 3)))
+        for _ in range(batch_size - 1)]
+    pairs = [build_both(rng.integers(4, 200, size=t).tolist(),
+                        rng.integers(4, 200, size=e).tolist(), max_len=seq_len)
+             for t, e in lengths]
+    batch = batchify(pairs, batch_size=batch_size)[0]
+
+    def outputs():
+        with no_grad():
+            cls = [encode_cls(branch, b.input_ids, b.segment_ids, b.attention_mask).data
+                   for branch, b in zip(model.branches, (batch.first, batch.second))]
+            return [a.tobytes() for a in cls + [forward_batch(model, batch).data]]
+
+    cut = outputs()
+    monkeypatch.setattr(mm, "encode", full_rows_encode)
+    assert outputs() == cut
 
 
 def test_encode_sees_only_the_longest_row(monkeypatch):
@@ -385,16 +467,20 @@ def test_a_spent_loss_holds_no_tape():
 def test_a_training_forward_keeps_no_attention_scores_or_float_masks():
     """Each attention node keeps its float32 probabilities and a boolean
     dropout mask (5 bytes an entry), not the scores, a float mask or the
-    dropped weights.  Every row is 64 wide, so no column is cut; all a
-    training forward holds, [B, L, d] arrays included, is about 10.9
-    bytes an entry, and one more float32 [B, H, L, L] array (4) or a
-    float mask in place of the boolean one (3) breaks the bound of 12."""
+    dropped weights.  Every row is 64 wide, so no column is cut; the
+    first block's node holds [B, H, 64, 64] entries and the last one's
+    [B, H, CLS_ROWS, 64].  All a training forward holds, [B, L, d]
+    arrays included, is about 12.8 bytes an entry.  One more float32
+    [B, H, L, L] array in the first block (+3.9), a float mask in place
+    of its boolean one (+2.9) or the last block's uncut boolean mask
+    (+0.9) breaks the bound of 13.5."""
     cfg = toy_config(max_len=64, dropout_rate=0.1)
     model = Classifier(cfg, "ensemble")
     text = [4 + i % 16 for i in range(50)]
     pairs = [build_both(text, [4 + i] * 11, max_len=64, label_id=i % 6) for i in range(8)]
     batch = batchify(pairs, batch_size=8)[0]
-    entries = 8 * cfg.n_heads * 64 * 64 * cfg.n_layers * len(model.branches)
+    query_rows = 64 * (cfg.n_layers - 1) + mm.CLS_ROWS
+    entries = 8 * cfg.n_heads * query_rows * 64 * len(model.branches)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -403,7 +489,7 @@ def test_a_training_forward_keeps_no_attention_scores_or_float_masks():
     finally:
         tracemalloc.stop()
     assert loss.requires_grad
-    assert held <= 12 * entries, held / entries
+    assert held <= 13.5 * entries, held / entries
 
 
 def test_inference_is_deterministic_and_dropout_rng_is_live():

@@ -18,6 +18,7 @@ from meder.numcore import (
     gelu,
     grad_check,
     layer_norm,
+    leading_rows,
     masked_fill,
     matmul,
     mul,
@@ -353,6 +354,27 @@ def test_select_concat_transpose_reshape_grads():
         expected_y = np.zeros((1, 3, 2))
         expected_y[:, 0, :] = 1.0
         assert np.array_equal(y.grad, expected_y)
+
+
+def test_leading_rows_takes_a_view_and_adds_into_its_slice():
+    with use_dtype(np.float64):
+        x = param(np.arange(24.0).reshape(2, 4, 3), "x")
+        rows = leading_rows(x, 2)
+        assert np.shares_memory(rows.data, x.data)
+        assert np.array_equal(rows.data, x.data[:, :2])
+        # a second reader of x, broadcast over both rows, adds into the
+        # same gradient as the slice
+        backward(total_sum(add(mul(rows, 3.0), select(x, 1, axis=1))))
+        expected = np.zeros((2, 4, 3))
+        expected[:, :2] = 3.0
+        expected[:, 1] += 2.0
+        assert np.array_equal(x.grad, expected)
+        assert np.array_equal(leading_rows(x, 4).data, x.data)
+        for n in (0, 5):
+            with pytest.raises(ShapeError, match="out of range"):
+                leading_rows(x, n)
+        with pytest.raises(ShapeError, match="2-D"):
+            leading_rows(Tensor(np.zeros(3)), 1)
 
 
 def test_forward_ops_finite_on_finite_inputs():
